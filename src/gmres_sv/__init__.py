@@ -2,7 +2,7 @@
 
 The package bundles a CSR sparse core with Matrix Market I/O, the small
 dense kernels a restarted solver needs (Hessenberg QR by plane rotations, a
-cyclic Jacobi eigensolver, a generalized-pencil solver, a dense reference
+LAPACK symmetric eigensolver, a generalized-pencil solver, a dense reference
 solve), the augmented Arnoldi cycle engine, restart drivers for the plain,
 singular-vector and harmonic-Ritz variants, and a benchmark CLI that emits
 per-cycle CSV convergence histories.

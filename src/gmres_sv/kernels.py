@@ -29,8 +29,6 @@ logger = logging.getLogger(__name__)
 
 DENSE_SOLVE_CAP = 5000
 
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 60
 _SINGULAR_DIAG_TOL = 1e-14
 _PENCIL_COND_LIMIT = 1e12
 _PENCIL_RESIDUAL_TOL = 1e-8
@@ -158,13 +156,12 @@ def _fix_signs(vectors):
 
 
 def sym_eig_smallest(G, k):
-    """Eigenpairs of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigenpairs of a symmetric matrix by LAPACK's symmetric eigensolver.
 
     Returns the ``k`` algebraically smallest eigenvalues in ascending order
-    and the matching orthonormal eigenvectors as columns. Sweeps stop once
-    the off-diagonal Frobenius norm falls below ``1e-12`` times the matrix
-    norm. Eigenvector signs are fixed so the first non-negligible component
-    is positive.
+    and the matching orthonormal eigenvectors as columns, computed by
+    ``numpy.linalg.eigh`` on the symmetric part of ``G``. Eigenvector signs
+    are fixed so the first non-negligible component is positive.
     """
     G = np.asarray(G, dtype=np.float64)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
@@ -175,44 +172,9 @@ def sym_eig_smallest(G, k):
     fro = float(np.linalg.norm(G))
     if np.linalg.norm(G - G.T) > 1e-12 * max(fro, 1e-300):
         raise ValueError("matrix is not symmetric to working accuracy")
-    A = 0.5 * (G + G.T)
-    V = np.eye(m)
-    threshold = _JACOBI_TOL * fro
-    for sweep in range(_JACOBI_MAX_SWEEPS + 1):
-        off = float(np.sqrt(2.0 * np.sum(np.tril(A, -1) ** 2)))
-        if off <= threshold:
-            break
-        if sweep == _JACOBI_MAX_SWEEPS:
-            raise RuntimeError("Jacobi iteration failed to reach the off-diagonal threshold")
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = c * A[p, :] - s * A[q, :]
-                rq = s * A[p, :] + c * A[q, :]
-                A[p, :] = rp
-                A[q, :] = rq
-                cp = c * A[:, p] - s * A[:, q]
-                cq = s * A[:, p] + c * A[:, q]
-                A[:, p] = cp
-                A[:, q] = cq
-                vp = c * V[:, p] - s * V[:, q]
-                vq = s * V[:, p] + c * V[:, q]
-                V[:, p] = vp
-                V[:, q] = vq
-    values = np.diag(A).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = _fix_signs(V[:, order])
-    return values[:k], vectors[:, :k]
+    values, vectors = np.linalg.eigh(0.5 * (G + G.T))
+    order = np.argsort(values, kind="stable")[:k]
+    return values[order], _fix_signs(vectors[:, order])
 
 
 def _real_pencil_eigenpairs(G, F):

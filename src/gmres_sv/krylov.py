@@ -29,11 +29,15 @@ from .sparse import spmv
 __all__ = ["CycleWorkspace", "CycleResult", "arnoldi_expand", "run_cycle"]
 
 _BREAKDOWN_TOL = 1e-12
-_REORTH_TRIGGER = 1.0 / np.sqrt(2.0)
 
 
 class CycleWorkspace:
     """Per-cycle bases and Hessenberg system.
+
+    ``W`` and ``Q`` are stored column-major (``order="F"``), so each basis
+    column is one contiguous vector and the leading block ``Q[:, :j+1]`` is
+    a contiguous panel for the matrix-vector products of the
+    orthogonalization.
 
     Attributes
     ----------
@@ -61,8 +65,8 @@ class CycleWorkspace:
         self.m = m
         self.k = k
         self.beta = beta
-        self.W = np.zeros((n, m))
-        self.Q = np.zeros((n, m + 1))
+        self.W = np.zeros((n, m), order="F")
+        self.Q = np.zeros((n, m + 1), order="F")
         self.H = np.zeros((m + 1, m))
         self.Q[:, 0] = r0 / beta
         self.W[:, 0] = self.Q[:, 0]
@@ -74,9 +78,11 @@ def arnoldi_expand(A, workspace, j, direction):
     """Orthogonalize one expansion direction and append column ``j``.
 
     ``direction`` is ``A @ Q[:, j]`` for a Krylov step (``j < m - k``) or the
-    cached product ``A @ y`` for an augmentation step. Modified Gram-Schmidt
-    is used with a single reorthogonalization pass whenever the remainder
-    loses more than a factor ``1/sqrt(2)`` of its length.
+    cached product ``A @ y`` for an augmentation step. Classical
+    Gram-Schmidt runs twice against the whole basis ``Q[:, :j+1]``, each
+    pass one pair of matrix-vector products, and the two coefficient
+    vectors are summed; two passes keep the basis orthogonal to working
+    accuracy (Giraud, Langou & Rozloznik, 2005).
 
     Returns ``True`` on happy breakdown, i.e. when the remainder is
     negligible and no new basis vector can be formed; the cycle then solves
@@ -91,16 +97,12 @@ def arnoldi_expand(A, workspace, j, direction):
     if direction.shape != (A.n_rows,):
         raise ValueError("direction length does not match the matrix")
     scale = float(np.linalg.norm(direction))
-    v = direction.copy()
-    coeffs = np.zeros(j + 1)
-    for i in range(j + 1):
-        coeffs[i] = ws.Q[:, i] @ v
-        v -= coeffs[i] * ws.Q[:, i]
-    if np.linalg.norm(v) < _REORTH_TRIGGER * scale:
-        for i in range(j + 1):
-            extra = ws.Q[:, i] @ v
-            v -= extra * ws.Q[:, i]
-            coeffs[i] += extra
+    basis = ws.Q[:, : j + 1]
+    coeffs = basis.T @ direction
+    v = direction - basis @ coeffs
+    extra = basis.T @ v
+    v -= basis @ extra
+    coeffs += extra
     remainder = float(np.linalg.norm(v))
     ws.H[: j + 1, j] = coeffs
     ws.H[j + 1, j] = remainder

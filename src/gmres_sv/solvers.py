@@ -29,6 +29,7 @@ import numpy as np
 
 from .kernels import (
     PencilConditionError,
+    SingularSystemError,
     gen_eig_largest_magnitude,
     gen_eig_smallest_magnitude,
     sym_eig_smallest,
@@ -269,10 +270,16 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     Returns
     -------
     SolveReport
-        Budget exhaustion and stagnation yield ``converged=False`` rather
-        than an exception. A stagnation guard stops the loop after
-        10 consecutive cycles with relative residual improvement below
-        1e-14.
+        Budget exhaustion, stagnation and a singular projected system yield
+        ``converged=False`` with the last iterate rather than an exception.
+        A stagnation guard stops the loop after 10 consecutive cycles with
+        relative residual improvement below 1e-14.
+
+    Raises
+    ------
+    ValueError
+        When the shapes disagree or ``A``, ``b`` or ``x0`` holds a NaN or
+        an infinity.
 
     Each call is single threaded; concurrent calls sharing the same matrix
     are safe.
@@ -283,6 +290,9 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     if b.shape != (A.n_rows,):
         raise ValueError("right-hand side length does not match the matrix")
     x = np.zeros(A.n_rows) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
+    for name, data in (("matrix", A.values), ("right-hand side", b), ("starting iterate", x)):
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"{name} holds non-finite entries")
     record = ConvergenceRecord()
     bnorm = float(np.linalg.norm(b))
 
@@ -304,7 +314,11 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     stagnant = 0
     converged = False
     for cycle in range(1, config.max_cycles + 1):
-        result = run_cycle(A, b, x, aug, config.m, r0=r)
+        try:
+            result = run_cycle(A, b, x, aug, config.m, r0=r)
+        except SingularSystemError as exc:
+            logger.info("stopping at cycle %d on a singular projected system: %s", cycle, exc)
+            break
         paper_mvp += result.n_matvecs
         true_mvp += result.n_matvecs
         x = result.x_new

@@ -46,6 +46,21 @@ class TestArnoldiExpand:
         e1[0] = ws.beta
         assert np.linalg.norm(ws.Q.T @ r0 - e1) <= 1e-10 * ws.beta
 
+    def test_two_pass_orthogonality_on_graded_diagonal(self):
+        # One classical Gram-Schmidt pass loses orthogonality to ~1e-8 on
+        # this spectrum; the second pass must restore it to working accuracy.
+        dense = np.diag(np.logspace(0, 12, 100))
+        A = csr_from_dense(dense)
+        r0 = np.ones(100)
+        m = 60
+        ws = CycleWorkspace(r0, m=m, k=0)
+        assert ws.Q.flags.f_contiguous and ws.W.flags.f_contiguous
+        for j in range(m):
+            assert arnoldi_expand(A, ws, j, spmv(A, ws.Q[:, j])) is False
+        assert np.max(np.abs(ws.Q.T @ ws.Q - np.eye(m + 1))) <= 1e-12
+        fact_gap = np.linalg.norm(dense @ ws.W - ws.Q @ ws.H)
+        assert fact_gap <= 1e-10 * np.linalg.norm(dense) * np.linalg.norm(ws.W)
+
     def test_rejects_out_of_order_step(self):
         ws = CycleWorkspace(np.ones(4), m=3, k=0)
         with pytest.raises(ValueError, match="expected expansion step"):

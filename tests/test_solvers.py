@@ -272,3 +272,32 @@ class TestSolve:
 
         for k in (2, 4):
             assert cycles("sv", 20, k) <= cycles("plain", 20, 0)
+
+
+class TestSolveBadInput:
+    @pytest.mark.parametrize("where", ["matrix", "right-hand side", "starting iterate"])
+    def test_non_finite_input_rejected(self, where):
+        A = gen_laplacian_1d(50)
+        b = np.ones(50)
+        x0 = np.zeros(50)
+        if where == "matrix":
+            # The constructor rejects non-finite values; solve must also
+            # catch a value array overwritten in place after construction.
+            A.values[4] = np.nan
+        elif where == "right-hand side":
+            b[3] = np.nan
+        else:
+            x0[7] = np.inf
+        with pytest.raises(ValueError, match=where):
+            solve(A, b, x0, SolverConfig("sv", 10, 2))
+
+    @pytest.mark.parametrize("variant,k", [("sv", 1), ("hr", 1), ("plain", 0)])
+    def test_singular_system_reported_not_raised(self, variant, k):
+        A = csr_from_coo([(0, 0, 1.0), (1, 1, 1.0), (2, 2, 0.0)], 3, 3)
+        b = np.ones(3)
+        report = solve(A, b, None, SolverConfig(variant, 2, k))
+        assert not report.converged
+        assert report.converged == (report.final_relres <= 1e-8)
+        assert np.all(np.isfinite(report.x))
+        relres = np.linalg.norm(b - spmv(A, report.x)) / np.linalg.norm(b)
+        assert report.final_relres == pytest.approx(relres, rel=1e-12)
