@@ -5,6 +5,10 @@ objects with float64 entries; only the sparse coefficient matrix gets a
 dedicated type.
 """
 
+import io
+import math
+import warnings
+
 import numpy as np
 
 __all__ = [
@@ -118,9 +122,6 @@ class CsrMatrix:
         dense[self._coo_rows, self.col_idx] = self.values
         return dense
 
-    def frobenius_norm(self):
-        return float(np.sqrt(np.sum(self.values**2)))
-
     def __matmul__(self, x):
         return spmv(self, x)
 
@@ -135,20 +136,11 @@ def csr_from_coo(triples, n_rows, n_cols):
     3-tuple of parallel arrays. Duplicate coordinates are summed, rows are
     sorted, and the usual CSR invariants hold on the result.
     """
-    if isinstance(triples, tuple) and len(triples) == 3 and np.ndim(triples[0]) == 1:
-        rows = np.asarray(triples[0], dtype=np.int64)
-        cols = np.asarray(triples[1], dtype=np.int64)
-        vals = np.asarray(triples[2], dtype=np.float64)
-    else:
-        triples = list(triples)
-        if triples:
-            rows = np.array([t[0] for t in triples], dtype=np.int64)
-            cols = np.array([t[1] for t in triples], dtype=np.int64)
-            vals = np.array([t[2] for t in triples], dtype=np.float64)
-        else:
-            rows = np.zeros(0, dtype=np.int64)
-            cols = np.zeros(0, dtype=np.int64)
-            vals = np.zeros(0, dtype=np.float64)
+    if not (isinstance(triples, tuple) and len(triples) == 3 and np.ndim(triples[0]) == 1):
+        triples = tuple(zip(*triples)) or ((), (), ())
+    rows = np.asarray(triples[0], dtype=np.int64)
+    cols = np.asarray(triples[1], dtype=np.int64)
+    vals = np.asarray(triples[2], dtype=np.float64)
     bad = (rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -218,37 +210,98 @@ def _open_source(source):
 
 
 def _read_banner(stream):
-    line = stream.readline()
-    fields = line.strip().split()
+    fields = stream.readline().split()
     if not fields or fields[0].lower() != "%%matrixmarket":
         raise MatrixMarketParseError(1, "missing %%MatrixMarket banner")
     if len(fields) < 4:
         raise MatrixMarketParseError(1, "banner must name object, format and field")
-    obj = fields[1].lower()
-    fmt = fields[2].lower()
-    field = fields[3].lower()
+    obj, fmt, field = (f.lower() for f in fields[1:4])
     symmetry = fields[4].lower() if len(fields) > 4 else "general"
     if obj != "matrix":
         raise MatrixMarketFormatError(f"unsupported object '{obj}'")
     return fmt, field, symmetry
 
 
-def _data_lines(stream):
-    """Yield (line_no, tokens) for non-comment, non-blank lines after the banner."""
-    for line_no, line in enumerate(stream, start=2):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        yield line_no, stripped.split()
+def _data_lines(lines, line_no):
+    """Yield (line_no, tokens) for the lines holding data, numbering from ``line_no + 1``.
+
+    Text after ``%`` is a comment. A carriage return is allowed only at the
+    end of a line, as ``np.loadtxt`` allows it.
+    """
+    for line_no, line in enumerate(lines, start=line_no + 1):
+        body = line.removesuffix("\n").removesuffix("\r").split("%", 1)[0]
+        if "\r" in body:
+            raise MatrixMarketParseError(line_no, "carriage return inside a line")
+        tokens = body.split()
+        if tokens:
+            yield line_no, tokens
 
 
-def _parse_ints(tokens, count, line_no):
+def _read_size_line(stream, count):
+    """Return the size line's number and ``count`` integers, read by ``readline`` to keep ``tell()``."""
+    line_no, tokens = next(_data_lines(iter(stream.readline, ""), 1), (2, None))
+    if tokens is None:
+        raise MatrixMarketParseError(2, "missing size line")
     if len(tokens) != count:
         raise MatrixMarketParseError(line_no, f"expected {count} integers, got {len(tokens)} tokens")
     try:
-        return [int(t) for t in tokens]
+        return line_no, [int(t) for t in tokens]
     except ValueError:
         raise MatrixMarketParseError(line_no, f"could not parse integers from {tokens!r}") from None
+
+
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def _read_entries(stream, line_no, n_rows, n_cols, nnz, kind):
+    """Read the ``nnz`` coordinate lines that follow the size line ``line_no``.
+
+    Returns 0-based ``(rows, cols, vals)``. One ``np.loadtxt`` pass parses the
+    body and whole-array checks validate it; only when one of them fails is
+    the body scanned again line by line to name the first bad line.
+    """
+    if not stream.seekable():
+        stream = io.StringIO(stream.read())
+    offset = stream.tell()
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            entries = np.loadtxt(stream, dtype=_ENTRY, comments="%", ndmin=1)
+    except ValueError:
+        pass
+    else:
+        rows, cols, vals = entries["i"], entries["j"], entries["v"]
+        if entries.size == nnz and np.isfinite(vals).all() and (
+            nnz == 0 or (min(rows.min(), cols.min()) >= 1 and rows.max() <= n_rows and cols.max() <= n_cols)
+        ):
+            rows -= 1
+            cols -= 1
+            return rows, cols, vals
+    stream.seek(offset)
+    raise _entry_error(stream, line_no, n_rows, n_cols, nnz, kind)
+
+
+def _entry_error(stream, line_no, n_rows, n_cols, nnz, kind):
+    """Scan the entry lines with the bulk parse's rules; return the error for the first bad one."""
+    got = 0
+    for line_no, tokens in _data_lines(stream, line_no):
+        if got == nnz:
+            return MatrixMarketParseError(line_no, f"more than the declared {nnz} entries")
+        if len(tokens) != 3:
+            return MatrixMarketParseError(line_no, f"expected 'row col value', got {len(tokens)} tokens")
+        try:
+            # np.loadtxt takes neither digit separators nor non-ASCII digits
+            if any("_" in t or not t.isascii() for t in tokens):
+                raise ValueError
+            i, j, v = int(tokens[0]), int(tokens[1]), float(tokens[2])
+        except ValueError:
+            return MatrixMarketParseError(line_no, f"could not parse entry from {tokens!r}")
+        if not (1 <= i <= n_rows and 1 <= j <= n_cols):
+            return MatrixMarketParseError(line_no, f"entry ({i}, {j}) outside a {n_rows}x{n_cols} {kind}")
+        if not math.isfinite(v):
+            return MatrixMarketParseError(line_no, f"non-finite value {tokens[2]!r}")
+        got += 1
+    return MatrixMarketParseError(line_no, f"declared {nnz} entries but found {got}")
 
 
 def read_matrix_market(source):
@@ -268,42 +321,11 @@ def read_matrix_market(source):
             raise MatrixMarketFormatError(f"unsupported field '{field}'")
         if symmetry not in ("general", "symmetric"):
             raise MatrixMarketFormatError(f"unsupported symmetry '{symmetry}'")
-        lines = _data_lines(stream)
-        try:
-            line_no, tokens = next(lines)
-        except StopIteration:
-            raise MatrixMarketParseError(2, "missing size line") from None
-        n_rows, n_cols, nnz = _parse_ints(tokens, 3, line_no)
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        got = 0
-        for line_no, tokens in lines:
-            if got == nnz:
-                raise MatrixMarketParseError(line_no, f"more than the declared {nnz} entries")
-            if len(tokens) != 3:
-                raise MatrixMarketParseError(line_no, f"expected 'row col value', got {len(tokens)} tokens")
-            try:
-                i = int(tokens[0])
-                j = int(tokens[1])
-                v = float(tokens[2])
-            except ValueError:
-                raise MatrixMarketParseError(line_no, f"could not parse entry from {tokens!r}") from None
-            if not (1 <= i <= n_rows and 1 <= j <= n_cols):
-                raise MatrixMarketParseError(line_no, f"entry ({i}, {j}) outside a {n_rows}x{n_cols} matrix")
-            rows[got] = i - 1
-            cols[got] = j - 1
-            vals[got] = v
-            got += 1
-        if got != nnz:
-            raise MatrixMarketParseError(line_no if nnz else 2, f"declared {nnz} entries but found {got}")
+        line_no, (n_rows, n_cols, nnz) = _read_size_line(stream, 3)
+        rows, cols, vals = _read_entries(stream, line_no, n_rows, n_cols, nnz, "matrix")
         if symmetry == "symmetric":
             off = rows != cols
-            mirror_rows = cols[off]
-            mirror_cols = rows[off]
-            rows = np.concatenate([rows, mirror_rows])
-            cols = np.concatenate([cols, mirror_cols])
-            vals = np.concatenate([vals, vals[off]])
+            rows, cols, vals = (np.concatenate([a, b[off]]) for a, b in ((rows, cols), (cols, rows), (vals, vals)))
         return csr_from_coo((rows, cols, vals), n_rows, n_cols)
     finally:
         if owned:
@@ -318,59 +340,35 @@ def read_matrix_market_rhs(source):
     stream, owned = _open_source(source)
     try:
         fmt, field, symmetry = _read_banner(stream)
+        if fmt not in ("array", "coordinate"):
+            raise MatrixMarketFormatError(f"unsupported format '{fmt}' for a vector")
         if field != "real":
             raise MatrixMarketFormatError(f"unsupported field '{field}'")
         if symmetry != "general":
             raise MatrixMarketFormatError(f"unsupported symmetry '{symmetry}' for a vector")
-        lines = _data_lines(stream)
-        try:
-            line_no, tokens = next(lines)
-        except StopIteration:
-            raise MatrixMarketParseError(2, "missing size line") from None
-        if fmt == "array":
-            n, m = _parse_ints(tokens, 2, line_no)
-            if m != 1:
-                raise MatrixMarketFormatError(f"expected a single column, got {m}")
-            data = np.empty(n, dtype=np.float64)
-            got = 0
-            for line_no, tokens in lines:
-                for tok in tokens:
-                    if got == n:
-                        raise MatrixMarketParseError(line_no, f"more than the declared {n} values")
-                    try:
-                        data[got] = float(tok)
-                    except ValueError:
-                        raise MatrixMarketParseError(line_no, f"could not parse value {tok!r}") from None
-                    got += 1
-            if got != n:
-                raise MatrixMarketParseError(line_no if n else 2, f"declared {n} values but found {got}")
-        elif fmt == "coordinate":
-            n, m, nnz = _parse_ints(tokens, 3, line_no)
-            if m != 1:
-                raise MatrixMarketFormatError(f"expected a single column, got {m}")
+        line_no, (n, m, *nnz) = _read_size_line(stream, 3 if fmt == "coordinate" else 2)
+        if m != 1:
+            raise MatrixMarketFormatError(f"expected a single column, got {m}")
+        if fmt == "coordinate":
+            rows, _, vals = _read_entries(stream, line_no, n, 1, nnz[0], "vector")
             data = np.zeros(n, dtype=np.float64)
-            got = 0
-            for line_no, tokens in lines:
-                if got == nnz:
-                    raise MatrixMarketParseError(line_no, f"more than the declared {nnz} entries")
-                if len(tokens) != 3:
-                    raise MatrixMarketParseError(line_no, f"expected 'row col value', got {len(tokens)} tokens")
+            np.add.at(data, rows, vals)
+            return data
+        data = np.empty(n, dtype=np.float64)
+        got = 0
+        for line_no, tokens in _data_lines(stream, line_no):
+            for tok in tokens:
+                if got == n:
+                    raise MatrixMarketParseError(line_no, f"more than the declared {n} values")
                 try:
-                    i = int(tokens[0])
-                    j = int(tokens[1])
-                    v = float(tokens[2])
+                    data[got] = float(tok)
                 except ValueError:
-                    raise MatrixMarketParseError(line_no, f"could not parse entry from {tokens!r}") from None
-                if not (1 <= i <= n and j == 1):
-                    raise MatrixMarketParseError(line_no, f"entry ({i}, {j}) outside a {n}x1 vector")
-                data[i - 1] += v
+                    raise MatrixMarketParseError(line_no, f"could not parse value {tok!r}") from None
+                if not math.isfinite(data[got]):
+                    raise MatrixMarketParseError(line_no, f"non-finite value {tok!r}")
                 got += 1
-            if got != nnz:
-                raise MatrixMarketParseError(line_no if nnz else 2, f"declared {nnz} entries but found {got}")
-        else:
-            raise MatrixMarketFormatError(f"unsupported format '{fmt}' for a vector")
-        if not np.all(np.isfinite(data)):
-            raise MatrixMarketParseError(0, "vector contains non-finite values")
+        if got != n:
+            raise MatrixMarketParseError(line_no, f"declared {n} values but found {got}")
         return data
     finally:
         if owned:

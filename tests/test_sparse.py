@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import csr_from_dense, random_csr
@@ -256,3 +258,181 @@ class TestMatrixMarketRhs:
         text = "%%MatrixMarket matrix array complex general\n2 1\n1 0\n2 0\n"
         with pytest.raises(MatrixMarketFormatError):
             read_matrix_market_rhs(io.StringIO(text))
+
+
+BANNER = "%%MatrixMarket matrix coordinate real general\n"
+ARRAY_BANNER = "%%MatrixMarket matrix array real general\n"
+
+# Lines the reader must skip anywhere in the body.
+FILLER = ["% a comment line\n", "%\n", "\n", "   \n", "\t\n", "\r\n", "% crlf comment\r\n"]
+
+
+class NonSeekableText(io.TextIOBase):
+    """A text stream that can only be read forward, like a pipe."""
+
+    def __init__(self, text):
+        self._inner = io.StringIO(text)
+
+    def readable(self):
+        return True
+
+    def read(self, size=-1):
+        return self._inner.read(size)
+
+    def readline(self, size=-1):
+        return self._inner.readline(size)
+
+
+@st.composite
+def coordinate_files(draw):
+    """A Matrix Market text with filler between entries, and the triples it holds (0-based)."""
+    symmetric = draw(st.booleans())
+    n_rows = draw(st.integers(1, 6))
+    n_cols = n_rows if symmetric else draw(st.integers(1, 6))
+    value = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    index = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
+    entries = draw(st.lists(st.tuples(index, value), max_size=15))
+    # duplicates: repeat a drawn entry with a new value
+    entries += [(entries[i][0], v) for i, v in draw(st.lists(st.tuples(st.integers(0, 14), value), max_size=3))
+                if i < len(entries)]
+    if symmetric:
+        entries = [((max(i, j), min(i, j)), v) for (i, j), v in entries]
+    gap = st.lists(st.sampled_from(FILLER), max_size=2).map("".join)
+    space = st.sampled_from([" ", "\t", "  ", " \t "])
+    lines = [BANNER.replace("general", "symmetric") if symmetric else BANNER, draw(gap)]
+    lines.append(f"{n_rows} {n_cols} {len(entries)}\n")
+    for (i, j), v in entries:
+        lines.append(draw(gap))
+        fields = draw(space).join([str(i + 1), str(j + 1), repr(v)])
+        tail = draw(st.sampled_from(["", " ", "\t", " % trailing comment"]))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + fields + tail + draw(st.sampled_from(["\n", "\r\n"])))
+    lines.append(draw(gap))
+    triples = [(i, j, v) for (i, j), v in entries]
+    if symmetric:
+        triples += [(j, i, v) for i, j, v in triples if i != j]
+    return "".join(lines), triples, n_rows, n_cols
+
+
+class TestMatrixMarketBulkRead:
+    @settings(deadline=None)
+    @given(coordinate_files())
+    def test_matches_csr_from_coo(self, case):
+        text, triples, n_rows, n_cols = case
+        try:
+            expected = csr_from_coo(triples, n_rows, n_cols)
+        except ValueError:  # summed duplicates overflowed
+            with pytest.raises(ValueError, match="finite"):
+                read_matrix_market(io.StringIO(text))
+            return
+        A = read_matrix_market(io.StringIO(text))
+        assert A.shape == expected.shape
+        assert np.array_equal(A.row_ptr, expected.row_ptr)
+        assert np.array_equal(A.col_idx, expected.col_idx)
+        assert np.array_equal(A.values, expected.values)
+
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from(["1", "2", "0", "3", "1.5", "1e0", "1_0", "nan", "-inf", "2.5", "%", "x"])
+                    .map(lambda t: t + " ") | st.sampled_from(["\n", "\r\n", "\r", "\t"]), max_size=20))
+    def test_any_body_parses_or_names_a_line(self, pieces):
+        text = BANNER + "2 2 2\n" + "".join(pieces)
+        try:
+            A = read_matrix_market(io.StringIO(text))
+        except MatrixMarketParseError as exc:
+            assert 2 <= exc.line_no <= text.count("\n") + 1
+            assert "declared 2 entries but found 2" not in str(exc)
+        else:
+            assert A.shape == (2, 2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["", "% nothing here\n\n  \n%\n"])
+    def test_empty_body_reads_as_empty_matrix(self, body):
+        A = read_matrix_market(io.StringIO(BANNER + "% before the size line\n3 2 0\n" + body))
+        assert A.shape == (3, 2)
+        assert A.nnz == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_comment_only_body_with_entries_declared(self):
+        with pytest.raises(MatrixMarketParseError, match="declared 2 entries but found 0") as excinfo:
+            read_matrix_market(io.StringIO(BANNER + "2 2 2\n% nothing here\n\n"))
+        assert excinfo.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "bad_line, match",
+        [
+            ("1 2\n", "expected 'row col value', got 2 tokens"),
+            ("1 2 3.0 4\n", "expected 'row col value', got 4 tokens"),
+            ("1.5 2 3.0\n", "could not parse entry"),
+            ("1 1e0 3.0\n", "could not parse entry"),
+            ("1_0 2 3.0\n", "could not parse entry"),
+            ("1 2 three\n", "could not parse entry"),
+            ("3 1 3.0\n", r"entry \(3, 1\) outside a 2x2 matrix"),
+            ("0 1 3.0\n", r"entry \(0, 1\) outside a 2x2 matrix"),
+            ("1 2 nan\n", "non-finite value 'nan'"),
+            ("1 2 -inf\n", "non-finite value '-inf'"),
+            ("1 2 1e400\n", "non-finite value '1e400'"),
+            ("1 2 3.0\r 4\n", "carriage return inside a line"),
+        ],
+    )
+    def test_bad_line_is_named(self, bad_line, match):
+        text = BANNER + "2 2 2\n1 1 1.0\n% a comment block\n%\n\n" + bad_line + "2 2 2.0\n"
+        with pytest.raises(MatrixMarketParseError, match=match) as excinfo:
+            read_matrix_market(io.StringIO(text))
+        assert excinfo.value.line_no == 7
+
+    def test_too_many_entries_named(self):
+        text = BANNER + "2 2 1\n1 1 1.0\n% a comment block\n\n2 2 2.0\n"
+        with pytest.raises(MatrixMarketParseError, match="more than the declared 1 entries") as excinfo:
+            read_matrix_market(io.StringIO(text))
+        assert excinfo.value.line_no == 6
+
+    def test_first_bad_line_wins(self):
+        text = BANNER + "2 2 2\n% comment\n1 1 inf\n1 5 1.0\n"
+        with pytest.raises(MatrixMarketParseError, match="non-finite") as excinfo:
+            read_matrix_market(io.StringIO(text))
+        assert excinfo.value.line_no == 4
+
+    def test_non_seekable_stream(self):
+        A = read_matrix_market(NonSeekableText(GENERAL_2X2))
+        assert_allclose(A.to_dense(), np.diag([4.0, 5.0]), atol=0)
+        text = BANNER + "2 2 2\n1 1 1.0\n% comment\n2 3 1.0\n"
+        with pytest.raises(MatrixMarketParseError, match=r"entry \(2, 3\)") as excinfo:
+            read_matrix_market(NonSeekableText(text))
+        assert excinfo.value.line_no == 5
+
+    def test_path_with_crlf_and_comments(self, tmp_path):
+        path = tmp_path / "crlf.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\r\n% c\r\n2 2 2\r\n1 1 4.0\r\n% c\r\n2 1 3.0\r\n")
+        assert_allclose(read_matrix_market(path).to_dense(), [[4.0, 3.0], [3.0, 0.0]], atol=0)
+
+
+class TestMatrixMarketRhsEntries:
+    def test_coordinate_duplicates_summed(self):
+        text = BANNER + "3 1 3\n2 1 1.5\n% comment\n2 1 2.0\n3 1 -1.0\n"
+        assert_allclose(read_matrix_market_rhs(io.StringIO(text)), [0.0, 3.5, -1.0], atol=0)
+
+    def test_coordinate_out_of_range_named(self):
+        text = BANNER + "3 1 2\n1 1 1.0\n% comment\n2 2 1.0\n"
+        with pytest.raises(MatrixMarketParseError, match=r"entry \(2, 2\) outside a 3x1 vector") as excinfo:
+            read_matrix_market_rhs(io.StringIO(text))
+        assert excinfo.value.line_no == 5
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            BANNER + "3 1 2\n1 1 1.0\n% comment\n%\n2 1 nan\n",
+            ARRAY_BANNER + "3 1\n1.0\n% comment\n%\ninf\n2.0\n",
+        ],
+    )
+    def test_non_finite_value_named(self, text):
+        with pytest.raises(MatrixMarketParseError, match="non-finite value") as excinfo:
+            read_matrix_market_rhs(io.StringIO(text))
+        assert excinfo.value.line_no == 6
+
+    @pytest.mark.filterwarnings("error")
+    def test_coordinate_empty_body(self):
+        text = BANNER + "3 1 0\n% nothing\n"
+        assert_allclose(read_matrix_market_rhs(io.StringIO(text)), np.zeros(3), atol=0)
+
+    def test_non_seekable_coordinate_vector(self):
+        text = BANNER + "2 1 1\n% comment\n2 1 7.0\n"
+        assert_allclose(read_matrix_market_rhs(NonSeekableText(text)), [0.0, 7.0], atol=0)
