@@ -9,6 +9,11 @@ shape ``(m+1, m)``. The projected least-squares problem
 ``x + W @ d``, with the residual norm available as the last entry of the
 rotated right-hand side.
 
+The Krylov columns of ``W`` are the leading columns of ``Q``, so ``W`` is
+never stored: a workspace keeps ``Q``, ``H`` and a reference to the ``k``
+augmentation columns ``Y``, and products with ``W`` are split into a
+``Q`` block and a ``Y`` block. One workspace serves every cycle of a solve.
+
 Workspaces are confined to a single solve and are not thread safe; the
 sparse matrix they reference may be shared.
 """
@@ -32,21 +37,22 @@ _BREAKDOWN_TOL = 1e-12
 
 
 class CycleWorkspace:
-    """Per-cycle bases and Hessenberg system.
+    """Basis and Hessenberg system of one solve, restarted in place by each cycle.
 
-    ``W`` and ``Q`` are stored column-major (``order="F"``), so each basis
-    column is one contiguous vector and the leading block ``Q[:, :j+1]`` is
-    a contiguous panel for the matrix-vector products of the
+    ``Q`` is stored column-major (``order="F"``), so each basis column is
+    one contiguous vector and the leading block ``Q[:, :j+1]`` is a
+    contiguous panel for the matrix-vector products of the
     orthogonalization.
 
     Attributes
     ----------
-    W : (n, m) array
-        Search basis; Krylov columns first, augmentation columns last.
     Q : (n, m+1) array
-        Orthonormal basis being extended one column per step.
+        Orthonormal basis being extended one column per step; its first
+        ``m - k`` columns are also the Krylov columns of the search basis.
     H : (m+1, m) array
         Upper Hessenberg projection coefficients.
+    Y : (n, k) array
+        The augmentation columns of the search basis, held by reference.
     beta : float
         Norm of the cycle's starting residual; ``Q[:, 0]`` is the starting
         residual scaled to unit length, so ``Q.T @ r0 = beta * e_1``.
@@ -54,24 +60,61 @@ class CycleWorkspace:
         Number of completed columns; stops short of ``m`` on breakdown.
     """
 
-    def __init__(self, r0, m, k):
+    def __init__(self, n, m):
+        self.m = m
+        self.Q = np.zeros((n, m + 1), order="F")
+        self.H = np.zeros((m + 1, m))
+        self.Y = np.zeros((n, 0))
+        self.k = 0
+        self.beta = 0.0
+        self.ncols = 0
+        self.breakdown = False
+
+    def restart(self, r0, Y=None):
+        """Start a cycle from residual ``r0`` with augmentation columns ``Y``."""
         r0 = np.asarray(r0, dtype=np.float64)
-        if not 0 <= k < m:
-            raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
+        n = self.Q.shape[0]
+        Y = np.zeros((n, 0)) if Y is None else Y
+        if r0.shape != (n,) or Y.shape[0] != n:
+            raise ValueError("vector length does not match the workspace")
+        if not 0 <= Y.shape[1] < self.m:
+            raise ValueError(f"need 0 <= k < m, got k={Y.shape[1]}, m={self.m}")
         beta = float(np.linalg.norm(r0))
         if beta == 0.0:
             raise ValueError("starting residual is zero; nothing to solve")
-        n = r0.size
-        self.m = m
-        self.k = k
+        self.Y = Y
+        self.k = Y.shape[1]
         self.beta = beta
-        self.W = np.zeros((n, m), order="F")
-        self.Q = np.zeros((n, m + 1), order="F")
-        self.H = np.zeros((m + 1, m))
-        self.Q[:, 0] = r0 / beta
-        self.W[:, 0] = self.Q[:, 0]
+        self.H.fill(0.0)
+        np.divide(r0, beta, out=self.Q[:, 0])
         self.ncols = 0
         self.breakdown = False
+
+    def split(self, p):
+        """How many of the first ``p`` search-basis columns are Krylov columns and augmentation columns."""
+        krylov = min(p, self.m - self.k)
+        return krylov, p - krylov
+
+    def W_times(self, g, p):
+        """``W[:, :p] @ g`` from the ``Q`` and ``Y`` blocks, without forming ``W``."""
+        krylov, aug = self.split(p)
+        out = self.Q[:, :krylov] @ g[:krylov]
+        if aug:
+            out += self.Y[:, :aug] @ g[krylov:]
+        return out
+
+    def search_basis(self, p):
+        """A column-major copy of the first ``p`` search-basis columns, for audits."""
+        krylov, aug = self.split(p)
+        W = np.empty((self.Q.shape[0], p), order="F")
+        W[:, :krylov] = self.Q[:, :krylov]
+        W[:, krylov:] = self.Y[:, :aug]
+        return W
+
+    @property
+    def W(self):
+        """The completed search-basis columns, assembled on demand."""
+        return self.search_basis(self.ncols)
 
 
 def arnoldi_expand(A, workspace, j, direction):
@@ -108,11 +151,11 @@ def arnoldi_expand(A, workspace, j, direction):
     ws.H[j + 1, j] = remainder
     ws.ncols = j + 1
     if remainder <= _BREAKDOWN_TOL * scale:
+        # CycleResult.Q ends with this column; clear what an earlier cycle left
+        ws.Q[:, j + 1] = 0.0
         ws.breakdown = True
         return True
-    ws.Q[:, j + 1] = v / remainder
-    if j + 1 < ws.m - ws.k:
-        ws.W[:, j + 1] = ws.Q[:, j + 1]
+    np.divide(v, remainder, out=ws.Q[:, j + 1])
     return False
 
 
@@ -123,7 +166,9 @@ class CycleResult:
     ``relres`` equals the magnitude of the last entry of ``rotated_rhs``
     divided by ``norm(b)``; no extra matrix products are spent on it.
     ``n_matvecs`` counts the sparse products consumed by the Krylov steps
-    (augmentation steps reuse cached products and are free).
+    (augmentation steps reuse cached products and are free). ``W``, ``Q``
+    and ``H`` read the workspace, which the next cycle of the same solve
+    overwrites.
     """
 
     x_new: np.ndarray
@@ -136,8 +181,8 @@ class CycleResult:
 
     @property
     def W(self):
-        """Active search-basis columns."""
-        return self.workspace.W[:, : self.n_cols]
+        """Active search-basis columns, assembled on demand."""
+        return self.workspace.search_basis(self.n_cols)
 
     @property
     def Q(self):
@@ -150,7 +195,7 @@ class CycleResult:
         return self.workspace.H[: self.n_cols + 1, : self.n_cols]
 
 
-def run_cycle(A, b, x0, aug, m, r0=None):
+def run_cycle(A, b, x0, aug, m, r0=None, workspace=None):
     """Run one restarted cycle from iterate ``x0``.
 
     Parameters
@@ -167,20 +212,28 @@ def run_cycle(A, b, x0, aug, m, r0=None):
     r0 : (n,) array, optional
         Precomputed starting residual ``b - A @ x0``; computed here when
         omitted.
+    workspace : CycleWorkspace, optional
+        The solve's workspace of dimension ``m``, restarted in place; a new
+        one is allocated when omitted.
 
     The augmented columns consume no matrix-vector products. On happy
     breakdown the least-squares problem is solved over the truncated
     system; if the truncated triangular factor is singular in its trailing
     column, that column is dropped before solving.
+
+    The returned :class:`CycleResult` views the workspace, so it is valid
+    only until the next cycle on the same workspace restarts it; ``solve``
+    calls its ``on_cycle`` hook before that.
     """
     b = np.asarray(b, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
-    k = 0 if aug is None else aug.size
     if r0 is None:
         r0 = b - spmv(A, x0)
-    ws = CycleWorkspace(r0, m, k)
-    if k:
-        ws.W[:, m - k :] = aug.Y
+    ws = CycleWorkspace(b.size, m) if workspace is None else workspace
+    if ws.m != m:
+        raise ValueError(f"workspace has dimension {ws.m}, cycle asks for {m}")
+    ws.restart(r0, None if aug is None else aug.Y)
+    k = ws.k
     n_matvecs = 0
     for j in range(m):
         if j < m - k:
@@ -204,7 +257,8 @@ def run_cycle(A, b, x0, aug, m, r0=None):
             if not ws.breakdown or p <= 1:
                 raise
             p -= 1
-    x_new = x0 + ws.W[:, :p] @ d
+    x_new = ws.W_times(d, p)
+    x_new += x0
     bnorm = float(np.linalg.norm(b))
     relres = abs(float(rotated[p])) / bnorm if bnorm > 0.0 else 0.0
     return CycleResult(

@@ -23,6 +23,7 @@ additionally charges the explicit restart residual computed each cycle.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from .kernels import (
     gen_eig_smallest_magnitude,
     sym_eig_smallest,
 )
-from .krylov import run_cycle
+from .krylov import CycleWorkspace, run_cycle
 from .sparse import spmv
 
 __all__ = [
@@ -54,6 +55,9 @@ logger = logging.getLogger(__name__)
 _DISCARD_SIGMA_TOL = 1e-14
 _STAGNATION_REL_IMPROVEMENT = 1e-14
 _STAGNATION_CYCLES = 10
+# Right-hand sides whose largest entry lies outside [2**-400, 2**400] are
+# scaled by a power of two first: their norms would under- or overflow.
+_SAFE_SCALE_EXPONENT = 400
 VARIANTS = ("plain", "sv", "hr")
 
 
@@ -203,7 +207,7 @@ def extract_singular_directions(cycle, k):
         vectors = vectors[:, keep]
     if values.size == 0:
         return AugmentationSet.empty(n)
-    Y = cycle.W @ vectors
+    Y = cycle.workspace.W_times(vectors, p)
     AY = cycle.Q @ (cycle.H @ vectors)
     return AugmentationSet(Y=Y, AY=AY, sigma_sq=values)
 
@@ -227,7 +231,12 @@ def extract_harmonic_directions(cycle, k, select="largest"):
         return AugmentationSet.empty(n)
     R = cycle.rfactor.R[:p, :p]
     G = R.T @ R
-    F = cycle.H.T @ (cycle.Q.T @ cycle.W)
+    # The Krylov columns of W are the leading columns of the orthonormal Q.
+    ws = cycle.workspace
+    krylov, aug = ws.split(p)
+    QtW = np.eye(p + 1, p)
+    QtW[:, krylov:] = cycle.Q.T @ ws.Y[:, :aug]
+    F = cycle.H.T @ QtW
     try:
         if select == "largest":
             values, vectors = gen_eig_largest_magnitude(G, F, kk)
@@ -238,7 +247,7 @@ def extract_harmonic_directions(cycle, k, select="largest"):
         return AugmentationSet.empty(n)
     if values.size == 0:
         return AugmentationSet.empty(n)
-    Y = cycle.W @ vectors
+    Y = ws.W_times(vectors, p)
     AY = cycle.Q @ (cycle.H @ vectors)
     norms = np.linalg.norm(Y, axis=0)
     keep = norms > 1e-14 * max(1.0, float(norms.max(initial=0.0)))
@@ -265,7 +274,8 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
         ``norm(x - x_ref)``.
     on_cycle : callable, optional
         Diagnostics hook invoked as ``on_cycle(cycle_index, cycle_result)``
-        after each cycle is recorded.
+        after each cycle is recorded and before the next one reuses the
+        workspace the result views.
 
     Returns
     -------
@@ -273,7 +283,16 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
         Budget exhaustion, stagnation and a singular projected system yield
         ``converged=False`` with the last iterate rather than an exception.
         A stagnation guard stops the loop after 10 consecutive cycles with
-        relative residual improvement below 1e-14.
+        relative residual improvement below 1e-14. A starting residual too
+        large to measure against ``b`` ends the solve at once with
+        ``final_relres=inf``.
+
+    When the largest entry of ``b`` lies outside ``[2**-400, 2**400]``, the
+    loop solves for ``s * b`` and ``s * x0``, with ``s`` the power of two
+    that brings it into ``[0.5, 1)``, and returns ``x / s`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, sec. 27). Scaling by
+    a power of two is exact, so relative residuals are those of the given
+    system; ``on_cycle`` then sees the scaled cycle.
 
     Raises
     ------
@@ -289,15 +308,19 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n_rows,):
         raise ValueError("right-hand side length does not match the matrix")
-    x = np.zeros(A.n_rows) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
-    for name, data in (("matrix", A.values), ("right-hand side", b), ("starting iterate", x)):
+    start = np.zeros(A.n_rows) if x0 is None else np.asarray(x0, dtype=np.float64)
+    for name, data in (("matrix", A.values), ("right-hand side", b), ("starting iterate", start)):
         if not np.all(np.isfinite(data)):
             raise ValueError(f"{name} holds non-finite entries")
     record = ConvergenceRecord()
+    exponent = math.frexp(np.max(np.abs(b), initial=0.0))[1]
+    scale = math.ldexp(1.0, -exponent) if abs(exponent) > _SAFE_SCALE_EXPONENT else 1.0
+    b = b * scale
+    x = start * scale
     bnorm = float(np.linalg.norm(b))
 
     def err(vec):
-        return float(np.linalg.norm(vec - x_ref)) if x_ref is not None else None
+        return float(np.linalg.norm(vec / scale - x_ref)) if x_ref is not None else None
 
     if bnorm == 0.0:
         x = np.zeros(A.n_rows)
@@ -306,16 +329,22 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     true_mvp = 1
     paper_mvp = 0
     relres = float(np.linalg.norm(r)) / bnorm
-    if relres <= config.tol:
-        return SolveReport(x=x, converged=True, record=record, final_relres=relres, final_error_norm=err(x))
+    if relres <= config.tol or not math.isfinite(relres):
+        # A starting residual whose size relative to b overflows would only
+        # carry infinities through the cycles; report it unconverged.
+        relres = relres if relres <= config.tol else math.inf
+        return SolveReport(
+            x=start.copy(), converged=relres <= config.tol, record=record, final_relres=relres, final_error_norm=err(x)
+        )
 
+    workspace = CycleWorkspace(A.n_rows, config.m)
     aug = None
     prev_relres = relres
     stagnant = 0
     converged = False
     for cycle in range(1, config.max_cycles + 1):
         try:
-            result = run_cycle(A, b, x, aug, config.m, r0=r)
+            result = run_cycle(A, b, x, aug, config.m, r0=r, workspace=workspace)
         except SingularSystemError as exc:
             logger.info("stopping at cycle %d on a singular projected system: %s", cycle, exc)
             break
@@ -358,7 +387,7 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     final_relres = record.final_relres if len(record) else relres
     final_err = record.entries[-1].error_norm if len(record) else err(x)
     return SolveReport(
-        x=x,
+        x=x / scale,
         converged=converged,
         record=record,
         final_relres=final_relres,

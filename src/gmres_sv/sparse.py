@@ -54,8 +54,20 @@ class MatrixMarketParseError(MatrixMarketError):
         super().__init__(f"line {line_no}: {message}")
 
 
+# Above this ratio of padded slots to stored entries, spmv keeps the
+# coordinate layout: one dense row would otherwise pad every row to its width.
+_ELL_MAX_FILL = 1.5
+
+
+def _frozen(data, dtype):
+    """A read-only copy of ``data``: no caller can write through to the matrix."""
+    out = np.array(data, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 class CsrMatrix:
-    """Immutable sparse matrix in compressed sparse row form.
+    """Read-only sparse matrix in compressed sparse row form.
 
     Parameters
     ----------
@@ -69,18 +81,29 @@ class CsrMatrix:
     values : array of float
         Entry values; must all be finite.
 
-    Instances are treated as read-only after construction and are safe to
-    share across threads.
+    The constructor copies the three arrays and marks the copies, like every
+    array it derives, read-only, so an instance cannot change after its
+    checks and is safe to share across threads.
+
+    For :func:`spmv` it also stores the rows slot-major and padded to the
+    longest row ``w`` ("ELL"): a ``(w, n_rows)`` array of column indices
+    and one of values. Slot ``s`` holds each row's ``s``-th stored entry;
+    a padded slot holds 0.0 and repeats the row's last column (column 0 for
+    an empty row), so it adds nothing to a finite product and gathers only
+    what the row already reads. When padding would exceed
+    ``_ELL_MAX_FILL * nnz`` slots, as a single dense row causes, or when
+    there is no entry, the instance keeps each entry's row index for a
+    ``bincount`` scatter instead.
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "values", "_coo_rows")
+    __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "values", "_ell", "_coo_rows")
 
     def __init__(self, n_rows, n_cols, row_ptr, col_idx, values):
         n_rows = int(n_rows)
         n_cols = int(n_cols)
-        row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
-        col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
-        values = np.ascontiguousarray(values, dtype=np.float64)
+        row_ptr = _frozen(row_ptr, np.int64)
+        col_idx = _frozen(col_idx, np.int64)
+        values = _frozen(values, np.float64)
         if n_rows < 0 or n_cols < 0:
             raise ValueError("matrix shape must be nonnegative")
         if row_ptr.shape != (n_rows + 1,):
@@ -89,12 +112,13 @@ class CsrMatrix:
             raise ValueError("col_idx and values must be 1-d arrays of equal length")
         if row_ptr[0] != 0 or row_ptr[-1] != values.size:
             raise ValueError("row_ptr must start at 0 and end at nnz")
-        if np.any(np.diff(row_ptr) < 0):
+        lengths = np.diff(row_ptr)
+        if np.any(lengths < 0):
             raise ValueError("row_ptr must be nondecreasing")
         if values.size:
             if col_idx.min() < 0 or col_idx.max() >= n_cols:
                 raise ValueError("column indices out of range")
-        rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(row_ptr))
+        rows = np.repeat(np.arange(n_rows, dtype=np.int64), lengths)
         if values.size > 1:
             same_row = rows[1:] == rows[:-1]
             if np.any(col_idx[1:][same_row] <= col_idx[:-1][same_row]):
@@ -106,7 +130,21 @@ class CsrMatrix:
         self.row_ptr = row_ptr
         self.col_idx = col_idx
         self.values = values
-        self._coo_rows = rows
+        self._ell = self._coo_rows = None
+        width = int(lengths.max(initial=0))
+        if not width or width * n_rows > _ELL_MAX_FILL * values.size:
+            rows.flags.writeable = False
+            self._coo_rows = rows
+            return
+        slot_cols = np.empty((width, n_rows), dtype=np.int64)
+        slot_cols[:] = np.where(lengths > 0, col_idx[np.maximum(row_ptr[1:] - 1, 0)], 0)
+        slot_vals = np.zeros((width, n_rows))
+        slot = np.arange(values.size) - np.repeat(row_ptr[:-1], lengths)
+        slot_cols[slot, rows] = col_idx
+        slot_vals[slot, rows] = values
+        slot_cols.flags.writeable = slot_vals.flags.writeable = False
+        # one (columns, values) pair per slot, so spmv slices nothing per call
+        self._ell = tuple(zip(slot_cols, slot_vals))
 
     @property
     def shape(self):
@@ -119,7 +157,7 @@ class CsrMatrix:
     def to_dense(self):
         """Return the matrix as a dense (n_rows, n_cols) array."""
         dense = np.zeros((self.n_rows, self.n_cols))
-        dense[self._coo_rows, self.col_idx] = self.values
+        dense[np.repeat(np.arange(self.n_rows), np.diff(self.row_ptr)), self.col_idx] = self.values
         return dense
 
     def __matmul__(self, x):
@@ -127,6 +165,27 @@ class CsrMatrix:
 
     def __repr__(self):
         return f"CsrMatrix(shape={self.shape}, nnz={self.nnz})"
+
+
+def _sum_duplicates(rows, cols, vals, n_rows):
+    """CSR arrays ``(row_ptr, cols, vals)`` of in-range triples, duplicates summed.
+
+    A sum past the float range comes out as an infinity; the caller decides
+    how to report it.
+    """
+    if rows.size:
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(first)
+        with np.errstate(over="ignore"):
+            vals = np.add.reduceat(vals, starts)
+        rows = rows[starts]
+        cols = cols[starts]
+    row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.add.at(row_ptr, rows + 1, 1)
+    return np.cumsum(row_ptr), cols, vals
 
 
 def csr_from_coo(triples, n_rows, n_cols):
@@ -145,28 +204,27 @@ def csr_from_coo(triples, n_rows, n_cols):
     if np.any(bad):
         i = int(np.argmax(bad))
         raise TripleIndexError((int(rows[i]), int(cols[i]), float(vals[i])), n_rows, n_cols)
-    if rows.size:
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(first)
-        vals = np.add.reduceat(vals, starts)
-        rows = rows[starts]
-        cols = cols[starts]
-    row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.add.at(row_ptr, rows + 1, 1)
-    row_ptr = np.cumsum(row_ptr)
-    return CsrMatrix(n_rows, n_cols, row_ptr, cols, vals)
+    return CsrMatrix(n_rows, n_cols, *_sum_duplicates(rows, cols, vals, n_rows))
 
 
 def spmv(A, x):
-    """Sparse matrix-vector product ``A @ x``."""
+    """Sparse matrix-vector product ``A @ x``.
+
+    On the slot-major layout each row is summed in stored order, one gather
+    and one multiply-add per slot, so for finite ``x`` the product equals,
+    value for value, the ``bincount`` scatter that the coordinate fallback
+    runs (a zero row sum may differ in the sign of the zero).
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.n_cols,):
         raise ValueError(f"vector length {x.shape} does not match matrix shape {A.shape}")
-    products = A.values * x[A.col_idx]
-    return np.bincount(A._coo_rows, weights=products, minlength=A.n_rows)
+    if A._ell is None:
+        return np.bincount(A._coo_rows, weights=A.values * x[A.col_idx], minlength=A.n_rows)
+    cols, vals = A._ell[0]
+    y = vals * x[cols]
+    for cols, vals in A._ell[1:]:
+        y += vals * x[cols]
+    return y
 
 
 def identity(n):
@@ -204,8 +262,11 @@ def gen_bidiagonal(n, superdiag):
 
 
 def _open_source(source):
+    """The stream to read and whether to close it; a non-seekable one is copied, for the error scans."""
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         return open(source, "r", encoding="ascii"), True
+    if not source.seekable():
+        source = io.StringIO(source.read())
     return source, False
 
 
@@ -260,8 +321,6 @@ def _read_entries(stream, line_no, n_rows, n_cols, nnz, kind):
     body and whole-array checks validate it; only when one of them fails is
     the body scanned again line by line to name the first bad line.
     """
-    if not stream.seekable():
-        stream = io.StringIO(stream.read())
     offset = stream.tell()
     try:
         with warnings.catch_warnings():
@@ -304,6 +363,27 @@ def _entry_error(stream, line_no, n_rows, n_cols, nnz, kind):
     return MatrixMarketParseError(line_no, f"declared {nnz} entries but found {got}")
 
 
+def _overflow_error(stream, line_no, i, j, symmetric):
+    """The error for duplicates of 0-based ``(i, j)`` whose sum left the float range.
+
+    Scans the entry lines that follow line ``line_no`` and names the first
+    line at which the running sum over that coordinate's entries is no
+    longer finite, or, should the reader's summation order differ from the
+    file's, the coordinate's last line.
+    """
+    keys = {(i + 1, j + 1), (j + 1, i + 1)} if symmetric else {(i + 1, j + 1)}
+    total = 0.0
+    for line_no, tokens in _data_lines(stream, line_no):
+        key = (int(tokens[0]), int(tokens[1]))
+        if key in keys:
+            total += float(tokens[2])
+            found = line_no, key
+            if not math.isfinite(total):
+                break
+    line_no, key = found
+    return MatrixMarketParseError(line_no, f"entries at {key} sum past the float range")
+
+
 def read_matrix_market(source):
     """Read a Matrix Market coordinate file into a :class:`CsrMatrix`.
 
@@ -322,11 +402,19 @@ def read_matrix_market(source):
         if symmetry not in ("general", "symmetric"):
             raise MatrixMarketFormatError(f"unsupported symmetry '{symmetry}'")
         line_no, (n_rows, n_cols, nnz) = _read_size_line(stream, 3)
+        offset = stream.tell()
         rows, cols, vals = _read_entries(stream, line_no, n_rows, n_cols, nnz, "matrix")
         if symmetry == "symmetric":
             off = rows != cols
             rows, cols, vals = (np.concatenate([a, b[off]]) for a, b in ((rows, cols), (cols, rows), (vals, vals)))
-        return csr_from_coo((rows, cols, vals), n_rows, n_cols)
+        row_ptr, cols, vals = _sum_duplicates(rows, cols, vals, n_rows)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            k = int(np.argmax(bad))
+            stream.seek(offset)
+            i = int(np.searchsorted(row_ptr, k, side="right")) - 1
+            raise _overflow_error(stream, line_no, i, int(cols[k]), symmetry == "symmetric")
+        return CsrMatrix(n_rows, n_cols, row_ptr, cols, vals)
     finally:
         if owned:
             stream.close()
@@ -350,9 +438,15 @@ def read_matrix_market_rhs(source):
         if m != 1:
             raise MatrixMarketFormatError(f"expected a single column, got {m}")
         if fmt == "coordinate":
+            offset = stream.tell()
             rows, _, vals = _read_entries(stream, line_no, n, 1, nnz[0], "vector")
             data = np.zeros(n, dtype=np.float64)
-            np.add.at(data, rows, vals)
+            with np.errstate(over="ignore"):
+                np.add.at(data, rows, vals)
+            bad = ~np.isfinite(data)
+            if bad.any():
+                stream.seek(offset)
+                raise _overflow_error(stream, line_no, int(np.argmax(bad)), 0, False)
             return data
         data = np.empty(n, dtype=np.float64)
         got = 0

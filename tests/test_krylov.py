@@ -9,12 +9,19 @@ from gmres_sv.solvers import AugmentationSet, extract_singular_directions
 from gmres_sv.sparse import gen_laplacian_1d, identity, spmv
 
 
+def started(r0, m):
+    """A workspace of dimension ``m`` restarted from ``r0`` with no augmentation."""
+    ws = CycleWorkspace(r0.size, m)
+    ws.restart(r0)
+    return ws
+
+
 class TestArnoldiExpand:
     def test_identity_breaks_down_immediately(self):
         A = identity(5)
         r0 = np.zeros(5)
         r0[0] = 1.0
-        ws = CycleWorkspace(r0, m=3, k=0)
+        ws = started(r0, m=3)
         broke = arnoldi_expand(A, ws, 0, spmv(A, ws.Q[:, 0]))
         assert broke is True
         assert ws.breakdown is True
@@ -25,7 +32,7 @@ class TestArnoldiExpand:
         A = gen_laplacian_1d(10)
         r0 = np.zeros(10)
         r0[0] = 1.0
-        ws = CycleWorkspace(r0, m=4, k=0)
+        ws = started(r0, m=4)
         for j in range(3):
             assert arnoldi_expand(A, ws, j, spmv(A, ws.Q[:, j])) is False
         assert abs(ws.H[0, 2]) <= 1e-12
@@ -35,7 +42,7 @@ class TestArnoldiExpand:
         A, dense = random_csr(rng, 50, 50, density=0.4, shift=4.0)
         r0 = rng.standard_normal(50)
         m = 10
-        ws = CycleWorkspace(r0, m=m, k=0)
+        ws = started(r0, m=m)
         for j in range(m):
             assert arnoldi_expand(A, ws, j, spmv(A, ws.Q[:, j])) is False
         QtQ = ws.Q.T @ ws.Q
@@ -53,7 +60,7 @@ class TestArnoldiExpand:
         A = csr_from_dense(dense)
         r0 = np.ones(100)
         m = 60
-        ws = CycleWorkspace(r0, m=m, k=0)
+        ws = started(r0, m=m)
         assert ws.Q.flags.f_contiguous and ws.W.flags.f_contiguous
         for j in range(m):
             assert arnoldi_expand(A, ws, j, spmv(A, ws.Q[:, j])) is False
@@ -62,7 +69,7 @@ class TestArnoldiExpand:
         assert fact_gap <= 1e-10 * np.linalg.norm(dense) * np.linalg.norm(ws.W)
 
     def test_rejects_out_of_order_step(self):
-        ws = CycleWorkspace(np.ones(4), m=3, k=0)
+        ws = started(np.ones(4), m=3)
         with pytest.raises(ValueError, match="expected expansion step"):
             arnoldi_expand(identity(4), ws, 2, np.ones(4))
 
@@ -181,3 +188,47 @@ class TestRunCycle:
         b = np.ones(3)
         with pytest.raises(ValueError, match="zero"):
             run_cycle(A, b, b.copy(), None, m=2)
+
+
+class TestWorkspaceReuse:
+    def test_reused_workspace_matches_fresh_ones(self):
+        A = gen_laplacian_1d(60)
+        b = np.ones(60)
+        ws = CycleWorkspace(60, 10)
+        x_fresh = x_reused = np.zeros(60)
+        aug_fresh = aug_reused = None
+        for _ in range(4):
+            fresh = run_cycle(A, b, x_fresh, aug_fresh, 10)
+            reused = run_cycle(A, b, x_reused, aug_reused, 10, workspace=ws)
+            assert reused.workspace is ws
+            assert np.array_equal(fresh.x_new, reused.x_new)
+            assert fresh.relres == reused.relres
+            aug_fresh = extract_singular_directions(fresh, 3)
+            aug_reused = extract_singular_directions(reused, 3)
+            x_fresh, x_reused = fresh.x_new, reused.x_new
+
+    def test_breakdown_clears_the_stale_column(self):
+        ws = CycleWorkspace(6, 3)
+        ws.Q[:] = np.nan  # whatever an earlier cycle left behind
+        result = run_cycle(identity(6), np.arange(1.0, 7.0), np.zeros(6), None, 3, workspace=ws)
+        assert result.n_cols == 1
+        assert not result.Q[:, 1].any()
+        assert np.all(np.isfinite(extract_singular_directions(result, 1).AY))
+
+    def test_search_basis_is_krylov_then_augmentation(self):
+        A = gen_laplacian_1d(60)
+        b = np.ones(60)
+        first = run_cycle(A, b, np.zeros(60), None, m=8)
+        aug = extract_singular_directions(first, 3)
+        result = run_cycle(A, b, first.x_new, aug, m=8)
+        assert result.workspace.Y is aug.Y
+        W = result.W
+        assert W.flags.f_contiguous
+        assert np.array_equal(W[:, :5], result.Q[:, :5])
+        assert np.array_equal(W[:, 5:], aug.Y)
+        u = np.random.default_rng(0).standard_normal(8)
+        assert_allclose(result.workspace.W_times(u, 8), W @ u, rtol=0, atol=1e-14 * np.linalg.norm(W @ u))
+
+    def test_workspace_dimension_must_match(self):
+        with pytest.raises(ValueError, match="dimension"):
+            run_cycle(identity(6), np.ones(6), np.zeros(6), None, 4, workspace=CycleWorkspace(6, 3))

@@ -1,5 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import csr_from_dense, random_csr
@@ -262,6 +266,20 @@ class TestSolve:
         )
         assert [c for c, _ in seen] == [e.cycle for e in report.record]
 
+    def test_solve_keeps_no_cycle_result(self):
+        # A result views the solve's one workspace, which the next cycle
+        # overwrites; nothing may hold it past its own cycle.
+        A = gen_laplacian_1d(40)
+        refs = []
+
+        def hook(cycle, result):
+            assert all(ref() is None for ref in refs)
+            refs.append(weakref.ref(result))
+
+        report = solve(A, np.ones(40), None, SolverConfig("sv", m=8, k=2, max_cycles=6), on_cycle=hook)
+        assert len(refs) == len(report.record) == 6
+        assert refs[-1]() is None
+
     def test_sv_beats_or_ties_plain_on_graded_diagonal(self):
         A = gen_bidiagonal(1000, 0.1)
         b = np.ones(1000)
@@ -274,6 +292,67 @@ class TestSolve:
             assert cycles("sv", 20, k) <= cycles("plain", 20, 0)
 
 
+class TestSolveScaling:
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_rhs_solves_like_unit_rhs(self, scale):
+        # ||b|| under- or overflows unless solve scales b by a power of two.
+        A = gen_laplacian_1d(50)
+        config = SolverConfig("sv", 10, 2)
+        report = solve(A, scale * np.ones(50), None, config)
+        assert report.converged and report.final_relres <= config.tol
+        x_exact = np.linalg.solve(A.to_dense(), np.ones(50))
+        assert np.linalg.norm(report.x / scale - x_exact) <= 1e-6 * np.linalg.norm(x_exact)
+        unit = solve(A, np.ones(50), None, config)
+        assert [e.paper_mvp for e in report.record] == [e.paper_mvp for e in unit.record]
+
+    @pytest.mark.parametrize("b_scale, x_scale", [(1e-300, 1e10), (1.0, 1e300)])
+    def test_unmeasurable_starting_residual_is_reported(self, b_scale, x_scale):
+        A = gen_laplacian_1d(50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = solve(A, b_scale * np.ones(50), x_scale * np.ones(50), SolverConfig("sv", 10, 2))
+        assert not report.converged
+        assert report.final_relres == np.inf
+        assert len(report.record) == 0
+        assert np.array_equal(report.x, x_scale * np.ones(50))
+
+    def test_unit_rhs_runs_unscaled(self):
+        A = gen_laplacian_1d(30)
+        b = np.linspace(1.0, 2.0, 30)
+        seen = []
+        solve(A, b, None, SolverConfig("plain", 5, max_cycles=2), on_cycle=lambda c, res: seen.append(res.x_new.copy()))
+        first = run_cycle(A, b, np.zeros(30), None, 5)
+        assert np.array_equal(seen[0], first.x_new)
+
+
+@st.composite
+def small_systems(draw):
+    """A random sparse system of order 4-30 and a solver configuration."""
+    n = draw(st.integers(4, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, _ = random_csr(rng, n, n, density=draw(st.floats(0.05, 0.5)), shift=draw(st.floats(1.0, 6.0)))
+    variant = draw(st.sampled_from(["plain", "sv", "hr"]))
+    m = draw(st.integers(2, 10))
+    k = 0 if variant == "plain" else draw(st.integers(1, m - 1))
+    config = SolverConfig(variant, m, k, tol=1e-8, max_cycles=draw(st.integers(1, 25)))
+    return A, rng.standard_normal(n), config
+
+
+class TestSolveProperties:
+    @settings(deadline=None, max_examples=150)
+    @given(small_systems())
+    def test_report_invariants(self, case):
+        A, b, config = case
+        report = solve(A, b, None, config)
+        relres = [e.relres for e in report.record]
+        # d = 0 is feasible in every cycle, so the residual cannot grow
+        assert all(later <= earlier * (1 + 1e-10) + 1e-15 for earlier, later in zip(relres, relres[1:]))
+        recomputed = np.linalg.norm(b - spmv(A, report.x)) / np.linalg.norm(b)
+        assert abs(report.final_relres - recomputed) <= 1e-8
+        assert report.converged == (report.final_relres <= config.tol)
+        last = report.record[-1]
+        assert last.true_mvp == last.paper_mvp + last.cycle + 1
+
+
 class TestSolveBadInput:
     @pytest.mark.parametrize("where", ["matrix", "right-hand side", "starting iterate"])
     def test_non_finite_input_rejected(self, where):
@@ -281,8 +360,12 @@ class TestSolveBadInput:
         b = np.ones(50)
         x0 = np.zeros(50)
         if where == "matrix":
-            # The constructor rejects non-finite values; solve must also
-            # catch a value array overwritten in place after construction.
+            # The constructor rejects non-finite values and freezes its
+            # arrays; solve must still catch a value array that a caller
+            # made writable again and overwrote in place.
+            with pytest.raises(ValueError, match="read-only"):
+                A.values[4] = np.nan
+            A.values.flags.writeable = True
             A.values[4] = np.nan
         elif where == "right-hand side":
             b[3] = np.nan

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import csr_from_dense, random_csr
 from gmres_sv.sparse import (
+    CsrMatrix,
     MatrixMarketFormatError,
     MatrixMarketParseError,
     TripleIndexError,
@@ -103,6 +104,100 @@ class TestSpmv:
             y = spmv(A, x)
             ref = dense @ x
             assert np.linalg.norm(y - ref) <= 1e-14 * max(np.linalg.norm(ref), 1e-30)
+
+
+def bincount_product(A, x):
+    """Reference product: the coordinate scatter, one ``bincount`` over the stored entries."""
+    rows = np.repeat(np.arange(A.n_rows), np.diff(A.row_ptr))
+    return np.bincount(rows, weights=A.values * x[A.col_idx], minlength=A.n_rows)
+
+
+def slot_arrays(A):
+    """The slot-major column and value arrays, each of shape (width, n_rows)."""
+    return np.array([cols for cols, _ in A._ell]), np.array([vals for _, vals in A._ell])
+
+
+def takes_fallback(A):
+    """Whether the matrix is empty or padding every row to the longest exceeds 1.5 slots per entry."""
+    width = int(np.diff(A.row_ptr).max(initial=0))
+    return A.nnz == 0 or width * A.n_rows > 1.5 * A.nnz
+
+
+@st.composite
+def sparse_systems(draw):
+    """A random CSR matrix (empty rows, any shape, optionally one dense row) and a finite x."""
+    n_rows = draw(st.integers(0, 9))
+    n_cols = draw(st.integers(1, 9))
+    value = st.floats(-1e100, 1e100, allow_nan=False, width=64)
+    cells = draw(st.sets(st.tuples(st.integers(0, max(n_rows - 1, 0)), st.integers(0, n_cols - 1)), max_size=30))
+    if n_rows and draw(st.booleans()):
+        dense_row = draw(st.integers(0, n_rows - 1))
+        cells |= {(dense_row, j) for j in range(n_cols)}
+    triples = [(i, j, draw(value)) for i, j in sorted(cells)] if n_rows else []
+    x = np.array(draw(st.lists(value, min_size=n_cols, max_size=n_cols)))
+    return csr_from_coo(triples, n_rows, n_cols), x
+
+
+class TestSlotLayout:
+    @settings(deadline=None, max_examples=300)
+    @given(sparse_systems())
+    def test_product_equals_bincount(self, case):
+        A, x = case
+        assert (A._ell is None) == takes_fallback(A)
+        assert (A._coo_rows is None) != (A._ell is None)
+        assert np.array_equal(spmv(A, x), bincount_product(A, x))
+
+    def test_uniform_rows_take_slots(self):
+        A = gen_laplacian_1d(7)
+        slot_cols, slot_vals = slot_arrays(A)
+        assert slot_cols.shape == slot_vals.shape == (3, 7)
+        assert A._coo_rows is None
+        # row 0 holds (0, 1): its third slot pads with value 0 at column 1
+        assert list(slot_cols[:, 0]) == [0, 1, 1] and list(slot_vals[:, 0]) == [2.0, -1.0, 0.0]
+
+    def test_dense_row_falls_back_to_coordinates(self):
+        n = 20
+        triples = [(0, j, 1.0) for j in range(n)] + [(i, i, 2.0) for i in range(1, n)]
+        A = csr_from_coo(triples, n, n)
+        assert A._ell is None
+        x = np.arange(1.0, n + 1.0)
+        assert np.array_equal(spmv(A, x), A.to_dense() @ x)
+
+    @pytest.mark.parametrize("n_rows, n_cols", [(0, 3), (3, 4), (4, 0)])
+    def test_no_entries(self, n_rows, n_cols):
+        A = csr_from_coo([], n_rows, n_cols)
+        assert A._ell is None
+        y = spmv(A, np.ones(n_cols))
+        assert y.shape == (n_rows,) and not y.any()
+
+    def test_empty_row_pads_with_column_zero(self):
+        A = csr_from_coo([(0, 2, 1.0), (0, 3, 2.0), (2, 1, 3.0), (2, 3, 4.0), (3, 0, 5.0), (3, 1, 6.0)], 4, 4)
+        slot_cols, slot_vals = slot_arrays(A)
+        assert list(slot_cols[:, 1]) == [0, 0] and list(slot_vals[:, 1]) == [0.0, 0.0]
+        assert np.array_equal(spmv(A, np.arange(4.0)), [8.0, 0.0, 15.0, 6.0])
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("dense_row", [False, True])
+    def test_every_array_rejects_writes(self, dense_row):
+        triples = [(i, i, 1.0) for i in range(6)] + ([(0, j, 1.0) for j in range(1, 6)] if dense_row else [])
+        A = csr_from_coo(triples, 6, 6)
+        slots = [array for pair in A._ell for array in pair] if A._ell else [A._coo_rows]
+        arrays = [A.row_ptr, A.col_idx, A.values] + slots
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_constructor_copies_its_inputs(self):
+        row_ptr = np.array([0, 1, 2])
+        col_idx = np.array([0, 1])
+        values = np.array([1.0, 2.0])
+        A = CsrMatrix(2, 2, row_ptr, col_idx, values)
+        values[0] = np.nan
+        col_idx[1] = 0
+        assert values.flags.writeable
+        assert np.array_equal(A.to_dense(), np.diag([1.0, 2.0]))
+        assert np.array_equal(spmv(A, np.ones(2)), [1.0, 2.0])
 
 
 class TestGenerators:
@@ -321,8 +416,9 @@ class TestMatrixMarketBulkRead:
         try:
             expected = csr_from_coo(triples, n_rows, n_cols)
         except ValueError:  # summed duplicates overflowed
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(MatrixMarketParseError, match="sum past the float range") as excinfo:
                 read_matrix_market(io.StringIO(text))
+            assert 3 <= excinfo.value.line_no <= text.count("\n")
             return
         A = read_matrix_market(io.StringIO(text))
         assert A.shape == expected.shape
@@ -399,6 +495,15 @@ class TestMatrixMarketBulkRead:
             read_matrix_market(NonSeekableText(text))
         assert excinfo.value.line_no == 5
 
+    @pytest.mark.parametrize("symmetry, i, j", [("general", 1, 1), ("symmetric", 2, 1)])
+    def test_overflowing_duplicates_name_the_second_line(self, symmetry, i, j):
+        # the running sum leaves the range at the second entry and stays out
+        body = f"2 2 4\n{i} {j} 1e308\n% comment\n2 2 1.0\n%\n{i} {j} 1e308\n{i} {j} 1.0\n"
+        text = BANNER.replace("general", symmetry) + body
+        with pytest.raises(MatrixMarketParseError, match=rf"entries at \({i}, {j}\) sum past") as excinfo:
+            read_matrix_market(io.StringIO(text))
+        assert excinfo.value.line_no == 7
+
     def test_path_with_crlf_and_comments(self, tmp_path):
         path = tmp_path / "crlf.mtx"
         path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\r\n% c\r\n2 2 2\r\n1 1 4.0\r\n% c\r\n2 1 3.0\r\n")
@@ -432,6 +537,12 @@ class TestMatrixMarketRhsEntries:
     def test_coordinate_empty_body(self):
         text = BANNER + "3 1 0\n% nothing\n"
         assert_allclose(read_matrix_market_rhs(io.StringIO(text)), np.zeros(3), atol=0)
+
+    def test_overflowing_duplicates_name_the_second_line(self):
+        text = BANNER + "3 1 3\n2 1 1.5e308\n% comment\n1 1 1.0\n2 1 1.5e308\n"
+        with pytest.raises(MatrixMarketParseError, match=r"entries at \(2, 1\) sum past the float range") as excinfo:
+            read_matrix_market_rhs(NonSeekableText(text))
+        assert excinfo.value.line_no == 6
 
     def test_non_seekable_coordinate_vector(self):
         text = BANNER + "2 1 1\n% comment\n2 1 7.0\n"
