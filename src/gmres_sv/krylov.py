@@ -195,7 +195,7 @@ class CycleResult:
         return self.workspace.H[: self.n_cols + 1, : self.n_cols]
 
 
-def run_cycle(A, b, x0, aug, m, r0=None, workspace=None):
+def run_cycle(A, b, x0, aug, workspace, r0=None):
     """Run one restarted cycle from iterate ``x0``.
 
     Parameters
@@ -207,14 +207,12 @@ def run_cycle(A, b, x0, aug, m, r0=None, workspace=None):
     aug : AugmentationSet or None
         Directions carried over from the previous cycle, with their cached
         products. ``None`` or an empty set gives a pure Krylov cycle.
-    m : int
-        Search-space dimension per cycle.
+    workspace : CycleWorkspace
+        The solve's workspace, restarted in place; its ``m`` is the
+        search-space dimension of the cycle.
     r0 : (n,) array, optional
         Precomputed starting residual ``b - A @ x0``; computed here when
         omitted.
-    workspace : CycleWorkspace, optional
-        The solve's workspace of dimension ``m``, restarted in place; a new
-        one is allocated when omitted.
 
     The augmented columns consume no matrix-vector products. On happy
     breakdown the least-squares problem is solved over the truncated
@@ -229,9 +227,8 @@ def run_cycle(A, b, x0, aug, m, r0=None, workspace=None):
     x0 = np.asarray(x0, dtype=np.float64)
     if r0 is None:
         r0 = b - spmv(A, x0)
-    ws = CycleWorkspace(b.size, m) if workspace is None else workspace
-    if ws.m != m:
-        raise ValueError(f"workspace has dimension {ws.m}, cycle asks for {m}")
+    ws = workspace
+    m = ws.m
     ws.restart(r0, None if aug is None else aug.Y)
     k = ws.k
     n_matvecs = 0

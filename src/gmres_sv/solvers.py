@@ -288,11 +288,13 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
         ``final_relres=inf``.
 
     When the largest entry of ``b`` lies outside ``[2**-400, 2**400]``, the
-    loop solves for ``s * b`` and ``s * x0``, with ``s`` the power of two
-    that brings it into ``[0.5, 1)``, and returns ``x / s`` (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, sec. 27). Scaling by
-    a power of two is exact, so relative residuals are those of the given
-    system; ``on_cycle`` then sees the scaled cycle.
+    loop solves for ``b * 2**-e`` and ``x0 * 2**-e``, with ``e`` the
+    exponent that brings it into ``[0.5, 1)``, and returns ``x * 2**e``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, sec. 27).
+    The shift is exact for every entry that stays in the normal range, so
+    relative residuals are those of the given system; ``on_cycle`` then
+    sees the scaled cycle. A subnormal ``b`` works too, but an ``x`` whose
+    entries are subnormal keeps only the bits they can hold.
 
     Raises
     ------
@@ -314,13 +316,16 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
             raise ValueError(f"{name} holds non-finite entries")
     record = ConvergenceRecord()
     exponent = math.frexp(np.max(np.abs(b), initial=0.0))[1]
-    scale = math.ldexp(1.0, -exponent) if abs(exponent) > _SAFE_SCALE_EXPONENT else 1.0
-    b = b * scale
-    x = start * scale
+    if abs(exponent) <= _SAFE_SCALE_EXPONENT:
+        exponent = 0
+    # np.ldexp shifts each entry's exponent: no scale factor that could
+    # itself under- or overflow is formed
+    b = np.ldexp(b, -exponent)
+    x = np.ldexp(start, -exponent)
     bnorm = float(np.linalg.norm(b))
 
     def err(vec):
-        return float(np.linalg.norm(vec / scale - x_ref)) if x_ref is not None else None
+        return float(np.linalg.norm(np.ldexp(vec, exponent) - x_ref)) if x_ref is not None else None
 
     if bnorm == 0.0:
         x = np.zeros(A.n_rows)
@@ -344,7 +349,7 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     converged = False
     for cycle in range(1, config.max_cycles + 1):
         try:
-            result = run_cycle(A, b, x, aug, config.m, r0=r, workspace=workspace)
+            result = run_cycle(A, b, x, aug, workspace, r0=r)
         except SingularSystemError as exc:
             logger.info("stopping at cycle %d on a singular projected system: %s", cycle, exc)
             break
@@ -387,7 +392,7 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     final_relres = record.final_relres if len(record) else relres
     final_err = record.entries[-1].error_norm if len(record) else err(x)
     return SolveReport(
-        x=x / scale,
+        x=np.ldexp(x, exponent),
         converged=converged,
         record=record,
         final_relres=final_relres,

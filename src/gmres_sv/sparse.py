@@ -55,7 +55,15 @@ class MatrixMarketParseError(MatrixMarketError):
 
 
 # Above this ratio of padded slots to stored entries, spmv keeps the
-# coordinate layout: one dense row would otherwise pad every row to its width.
+# coordinate layout: one dense row would otherwise pad every row to its
+# width. Measured on random matrices of 5-entry rows with some rows widened,
+# and of 1..w-entry rows (2-core Xeon, one thread), the ELL time over the
+# bincount time is 0.44 at fill 1.0 and 0.58-0.73 at 1.5, and passes 1 near
+# fill 2.3 at order 25600; at order 1000, where the per-slot call overhead
+# dominates, it is 0.71 at 1.0 and passes 1 between 1.3 and 1.5 (1.12 at
+# 1.5). 1.5 is the lower crossover, so ELL never runs where it measured
+# notably slower, and its slot arrays stay within 24 B per stored entry
+# against the 8 B of row indices the fallback keeps.
 _ELL_MAX_FILL = 1.5
 
 

@@ -78,7 +78,7 @@ class TestRunCycle:
     def test_identity_solves_in_one_breakdown_cycle(self):
         A = identity(6)
         b = np.arange(1.0, 7.0)
-        result = run_cycle(A, b, np.zeros(6), None, m=1)
+        result = run_cycle(A, b, np.zeros(6), None, CycleWorkspace(b.size, 1))
         assert_allclose(result.x_new, b, rtol=0, atol=1e-14)
         assert result.relres <= 1e-14
         assert result.n_cols == 1
@@ -88,7 +88,7 @@ class TestRunCycle:
         dense = rng.standard_normal((20, 20)) + 5.0 * np.eye(20)
         A = csr_from_dense(dense)
         b = rng.standard_normal(20)
-        result = run_cycle(A, b, np.zeros(20), None, m=20)
+        result = run_cycle(A, b, np.zeros(20), None, CycleWorkspace(b.size, 20))
         oracle = dense_lu_solve(dense, b)
         assert np.linalg.norm(result.x_new - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
@@ -97,7 +97,7 @@ class TestRunCycle:
         b = np.zeros(1000)
         b[0] = 1.0
         b[-1] = 1.0
-        result = run_cycle(A, b, np.zeros(1000), None, m=20)
+        result = run_cycle(A, b, np.zeros(1000), None, CycleWorkspace(b.size, 20))
         assert result.relres < 1.0
         byproduct = abs(result.rotated_rhs[result.n_cols]) / np.linalg.norm(b)
         assert result.relres == byproduct
@@ -110,24 +110,24 @@ class TestRunCycle:
         b = rng.standard_normal(40)
         x0 = rng.standard_normal(40)
         r0 = b - spmv(A, x0)
-        result = run_cycle(A, b, x0, None, m=7)
+        result = run_cycle(A, b, x0, None, CycleWorkspace(b.size, 7))
         assert result.relres <= np.linalg.norm(r0) / np.linalg.norm(b) + 1e-12
 
     def test_matvec_count_excludes_augmented_columns(self):
         A = gen_laplacian_1d(60)
         b = np.ones(60)
-        first = run_cycle(A, b, np.zeros(60), None, m=8)
+        first = run_cycle(A, b, np.zeros(60), None, CycleWorkspace(b.size, 8))
         assert first.n_matvecs == 8
         aug = extract_singular_directions(first, 3)
-        second = run_cycle(A, b, first.x_new, aug, m=8)
+        second = run_cycle(A, b, first.x_new, aug, CycleWorkspace(b.size, 8))
         assert second.n_matvecs == 5
 
     def test_gram_shortcut_on_augmented_cycle(self):
         A = gen_laplacian_1d(60)
         b = np.ones(60)
-        first = run_cycle(A, b, np.zeros(60), None, m=10)
+        first = run_cycle(A, b, np.zeros(60), None, CycleWorkspace(b.size, 10))
         aug = extract_singular_directions(first, 3)
-        result = run_cycle(A, b, first.x_new, aug, m=10)
+        result = run_cycle(A, b, first.x_new, aug, CycleWorkspace(b.size, 10))
         R = result.rfactor.R
         G = R.T @ R
         AW = np.column_stack([spmv(A, result.W[:, j]) for j in range(result.n_cols)])
@@ -138,9 +138,9 @@ class TestRunCycle:
         rng = np.random.default_rng(12)
         A, _ = random_csr(rng, 80, 80, density=0.2, shift=3.0)
         b = rng.standard_normal(80)
-        first = run_cycle(A, b, np.zeros(80), None, m=9)
+        first = run_cycle(A, b, np.zeros(80), None, CycleWorkspace(b.size, 9))
         aug = extract_singular_directions(first, 2)
-        result = run_cycle(A, b, first.x_new, aug, m=9)
+        result = run_cycle(A, b, first.x_new, aug, CycleWorkspace(b.size, 9))
         a_fro = np.sqrt(np.sum(A.values**2))
         for _ in range(5):
             u = rng.standard_normal(result.n_cols)
@@ -151,7 +151,7 @@ class TestRunCycle:
         rng = np.random.default_rng(5)
         A, _ = random_csr(rng, 30, 30, density=0.4, shift=2.0)
         b = rng.standard_normal(30)
-        result = run_cycle(A, b, np.zeros(30), None, m=6)
+        result = run_cycle(A, b, np.zeros(30), None, CycleWorkspace(b.size, 6))
         p = result.n_cols
         d = back_substitute(result.rfactor, result.rotated_rhs[:p])
         base = np.linalg.norm(b - spmv(A, result.W @ d))
@@ -172,7 +172,7 @@ class TestRunCycle:
         aug = AugmentationSet(
             Y=r0[:, None].copy(), AY=spmv(A, r0)[:, None], sigma_sq=np.array([1.0])
         )
-        result = run_cycle(A, b, np.zeros(4), aug, m=2)
+        result = run_cycle(A, b, np.zeros(4), aug, CycleWorkspace(b.size, 2))
         assert result.n_cols == 1
         assert np.isfinite(result.relres)
         assert result.relres < 1.0
@@ -181,13 +181,13 @@ class TestRunCycle:
         A = identity(4)
         aug = AugmentationSet(Y=np.ones((4, 2)), AY=np.ones((4, 2)), sigma_sq=np.ones(2))
         with pytest.raises(ValueError):
-            run_cycle(A, np.ones(4), np.zeros(4), aug, m=2)
+            run_cycle(A, np.ones(4), np.zeros(4), aug, CycleWorkspace(4, 2))
 
     def test_zero_starting_residual_rejected(self):
         A = identity(3)
         b = np.ones(3)
         with pytest.raises(ValueError, match="zero"):
-            run_cycle(A, b, b.copy(), None, m=2)
+            run_cycle(A, b, b.copy(), None, CycleWorkspace(b.size, 2))
 
 
 class TestWorkspaceReuse:
@@ -198,8 +198,8 @@ class TestWorkspaceReuse:
         x_fresh = x_reused = np.zeros(60)
         aug_fresh = aug_reused = None
         for _ in range(4):
-            fresh = run_cycle(A, b, x_fresh, aug_fresh, 10)
-            reused = run_cycle(A, b, x_reused, aug_reused, 10, workspace=ws)
+            fresh = run_cycle(A, b, x_fresh, aug_fresh, CycleWorkspace(b.size, 10))
+            reused = run_cycle(A, b, x_reused, aug_reused, ws)
             assert reused.workspace is ws
             assert np.array_equal(fresh.x_new, reused.x_new)
             assert fresh.relres == reused.relres
@@ -210,7 +210,7 @@ class TestWorkspaceReuse:
     def test_breakdown_clears_the_stale_column(self):
         ws = CycleWorkspace(6, 3)
         ws.Q[:] = np.nan  # whatever an earlier cycle left behind
-        result = run_cycle(identity(6), np.arange(1.0, 7.0), np.zeros(6), None, 3, workspace=ws)
+        result = run_cycle(identity(6), np.arange(1.0, 7.0), np.zeros(6), None, ws)
         assert result.n_cols == 1
         assert not result.Q[:, 1].any()
         assert np.all(np.isfinite(extract_singular_directions(result, 1).AY))
@@ -218,9 +218,9 @@ class TestWorkspaceReuse:
     def test_search_basis_is_krylov_then_augmentation(self):
         A = gen_laplacian_1d(60)
         b = np.ones(60)
-        first = run_cycle(A, b, np.zeros(60), None, m=8)
+        first = run_cycle(A, b, np.zeros(60), None, CycleWorkspace(b.size, 8))
         aug = extract_singular_directions(first, 3)
-        result = run_cycle(A, b, first.x_new, aug, m=8)
+        result = run_cycle(A, b, first.x_new, aug, CycleWorkspace(b.size, 8))
         assert result.workspace.Y is aug.Y
         W = result.W
         assert W.flags.f_contiguous
@@ -228,7 +228,3 @@ class TestWorkspaceReuse:
         assert np.array_equal(W[:, 5:], aug.Y)
         u = np.random.default_rng(0).standard_normal(8)
         assert_allclose(result.workspace.W_times(u, 8), W @ u, rtol=0, atol=1e-14 * np.linalg.norm(W @ u))
-
-    def test_workspace_dimension_must_match(self):
-        with pytest.raises(ValueError, match="dimension"):
-            run_cycle(identity(6), np.ones(6), np.zeros(6), None, 4, workspace=CycleWorkspace(6, 3))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import csr_from_dense, random_csr
-from gmres_sv.krylov import run_cycle
+from gmres_sv.krylov import CycleWorkspace, run_cycle
 from gmres_sv.solvers import (
     AugmentationSet,
     SolverConfig,
@@ -64,7 +64,7 @@ class TestExtractSingularDirections:
         A = identity(6)
         rng = np.random.default_rng(0)
         b = rng.standard_normal(6)
-        cycle = run_cycle(A, b, np.zeros(6), None, m=3)
+        cycle = run_cycle(A, b, np.zeros(6), None, CycleWorkspace(b.size, 3))
         aug = extract_singular_directions(cycle, 2)
         assert aug.size == 1  # identity breaks down after one column
         assert_allclose(aug.sigma_sq, [1.0], atol=1e-12)
@@ -76,7 +76,7 @@ class TestExtractSingularDirections:
         dense = rng.standard_normal((30, 30)) + 3.0 * np.eye(30)
         A = csr_from_dense(dense)
         b = rng.standard_normal(30)
-        cycle = run_cycle(A, b, np.zeros(30), None, m=30)
+        cycle = run_cycle(A, b, np.zeros(30), None, CycleWorkspace(b.size, 30))
         aug = extract_singular_directions(cycle, 2)
         svals = np.sort(np.linalg.svd(dense, compute_uv=False))
         assert_allclose(aug.sigma_sq, svals[:2] ** 2, rtol=1e-6)
@@ -85,7 +85,7 @@ class TestExtractSingularDirections:
         rng = np.random.default_rng(2)
         A, _ = random_csr(rng, 70, 70, density=0.25, shift=3.0)
         b = rng.standard_normal(70)
-        cycle = run_cycle(A, b, np.zeros(70), None, m=12)
+        cycle = run_cycle(A, b, np.zeros(70), None, CycleWorkspace(b.size, 12))
         aug = extract_singular_directions(cycle, 4)
         a_fro = np.sqrt(np.sum(A.values**2))
         for i in range(aug.size):
@@ -96,7 +96,7 @@ class TestExtractSingularDirections:
         rng = np.random.default_rng(3)
         A, _ = random_csr(rng, 40, 40, density=0.3, shift=2.0)
         b = rng.standard_normal(40)
-        cycle = run_cycle(A, b, np.zeros(40), None, m=10)
+        cycle = run_cycle(A, b, np.zeros(40), None, CycleWorkspace(b.size, 10))
         aug = extract_singular_directions(cycle, 5)
         assert np.all(np.diff(aug.sigma_sq) >= 0)
 
@@ -105,7 +105,7 @@ class TestExtractSingularDirections:
         # whose squared value falls below the relative cutoff and is dropped.
         A = csr_from_dense(np.diag([3e-7, 1.0, 2.0, 3.0, 4.0, 5.0]))
         b = np.ones(6)
-        cycle = run_cycle(A, b, np.zeros(6), None, m=6)
+        cycle = run_cycle(A, b, np.zeros(6), None, CycleWorkspace(b.size, 6))
         aug = extract_singular_directions(cycle, 2)
         assert aug.size == 1
         assert aug.sigma_sq[0] > 1e-10
@@ -116,7 +116,7 @@ class TestExtractHarmonicDirections:
         A = gen_laplacian_1d(12)
         rng = np.random.default_rng(4)
         b = rng.standard_normal(12)
-        cycle = run_cycle(A, b, np.zeros(12), None, m=12)
+        cycle = run_cycle(A, b, np.zeros(12), None, CycleWorkspace(b.size, 12))
         eigs = np.linalg.eigvalsh(A.to_dense())
         small = extract_harmonic_directions(cycle, 2, select="smallest")
         assert abs(small.sigma_sq[0] - eigs[0]) <= 1e-6
@@ -126,7 +126,7 @@ class TestExtractHarmonicDirections:
     def test_identity_reduces_to_singular_extraction(self):
         A = identity(5)
         b = np.arange(1.0, 6.0)
-        cycle = run_cycle(A, b, np.zeros(5), None, m=2)
+        cycle = run_cycle(A, b, np.zeros(5), None, CycleWorkspace(b.size, 2))
         sv = extract_singular_directions(cycle, 1)
         hr = extract_harmonic_directions(cycle, 1)
         assert_allclose(hr.sigma_sq, sv.sigma_sq, atol=1e-12)
@@ -135,7 +135,7 @@ class TestExtractHarmonicDirections:
         rng = np.random.default_rng(5)
         A, _ = random_csr(rng, 60, 60, density=0.25, shift=4.0)
         b = rng.standard_normal(60)
-        cycle = run_cycle(A, b, np.zeros(60), None, m=10)
+        cycle = run_cycle(A, b, np.zeros(60), None, CycleWorkspace(b.size, 10))
         aug = extract_harmonic_directions(cycle, 3)
         a_fro = np.sqrt(np.sum(A.values**2))
         assert aug.size > 0
@@ -147,7 +147,7 @@ class TestExtractHarmonicDirections:
         A = cyclic_shift(8)
         b = np.zeros(8)
         b[0] = 1.0
-        cycle = run_cycle(A, b, np.zeros(8), None, m=3)
+        cycle = run_cycle(A, b, np.zeros(8), None, CycleWorkspace(b.size, 3))
         aug = extract_harmonic_directions(cycle, 2)
         assert aug.size == 0
 
@@ -293,15 +293,19 @@ class TestSolve:
 
 
 class TestSolveScaling:
-    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    @pytest.mark.parametrize("scale", [1e-300, 1e300, 1e-310, 5e-324])
     def test_extreme_rhs_solves_like_unit_rhs(self, scale):
-        # ||b|| under- or overflows unless solve scales b by a power of two.
+        # ||b|| under- or overflows unless solve scales b by a power of two;
+        # 1e-310 and 5e-324 (the smallest subnormal) lie below 2**-1022.
         A = gen_laplacian_1d(50)
         config = SolverConfig("sv", 10, 2)
         report = solve(A, scale * np.ones(50), None, config)
         assert report.converged and report.final_relres <= config.tol
         x_exact = np.linalg.solve(A.to_dense(), np.ones(50))
-        assert np.linalg.norm(report.x / scale - x_exact) <= 1e-6 * np.linalg.norm(x_exact)
+        # a subnormal x is rounded to a multiple of 2**-1074 per entry
+        rounding = np.sqrt(50) * 2.0**-1074 / scale
+        error = np.linalg.norm((report.x - scale * x_exact) / scale)
+        assert error <= 1e-6 * np.linalg.norm(x_exact) + rounding
         unit = solve(A, np.ones(50), None, config)
         assert [e.paper_mvp for e in report.record] == [e.paper_mvp for e in unit.record]
 
@@ -320,7 +324,7 @@ class TestSolveScaling:
         b = np.linspace(1.0, 2.0, 30)
         seen = []
         solve(A, b, None, SolverConfig("plain", 5, max_cycles=2), on_cycle=lambda c, res: seen.append(res.x_new.copy()))
-        first = run_cycle(A, b, np.zeros(30), None, 5)
+        first = run_cycle(A, b, np.zeros(30), None, CycleWorkspace(b.size, 5))
         assert np.array_equal(seen[0], first.x_new)
 
 
