@@ -20,7 +20,6 @@ __all__ = [
     "apply_chain",
     "back_substitute",
     "sym_eig_smallest",
-    "gen_eig_smallest_magnitude",
     "gen_eig_largest_magnitude",
     "dense_lu_solve",
 ]
@@ -177,13 +176,18 @@ def sym_eig_smallest(G, k):
     return values[order], _fix_signs(vectors[:, order])
 
 
-def _real_pencil_eigenpairs(G, F):
-    """All real eigenpairs of ``G @ g = theta * F @ g``, sorted by |theta|.
+def gen_eig_largest_magnitude(G, F, k):
+    """Up to ``k`` largest-magnitude real eigenpairs of ``G g = theta F g``.
 
     Reduces to the standard problem ``inv(F) @ G`` through an LU solve and
     filters out genuinely complex pairs as well as pairs whose pencil
-    residual is out of tolerance.
+    residual is out of tolerance, so fewer than ``k`` pairs may come back;
+    callers fill the deficit. The pairs that remain come back in ascending
+    magnitude. Raises :class:`PencilConditionError` when ``F`` is near
+    singular.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     G = np.asarray(G, dtype=np.float64)
     F = np.asarray(F, dtype=np.float64)
     if G.shape != F.shape or G.ndim != 2 or G.shape[0] != G.shape[1]:
@@ -216,31 +220,7 @@ def _real_pencil_eigenpairs(G, F):
         vectors.append(vec)
     if not thetas:
         return np.zeros(0), np.zeros((G.shape[0], 0))
-    return np.array(thetas), _fix_signs(np.column_stack(vectors))
-
-
-def gen_eig_smallest_magnitude(G, F, k):
-    """Up to ``k`` smallest-magnitude real eigenpairs of ``G g = theta F g``.
-
-    Raises :class:`PencilConditionError` when ``F`` is near singular. Pairs
-    with a meaningful imaginary part are dropped, so fewer than ``k`` pairs
-    may come back; callers fill the deficit.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    thetas, vectors = _real_pencil_eigenpairs(G, F)
-    return thetas[:k], vectors[:, :k]
-
-
-def gen_eig_largest_magnitude(G, F, k):
-    """Up to ``k`` largest-magnitude real eigenpairs of ``G g = theta F g``."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    thetas, vectors = _real_pencil_eigenpairs(G, F)
-    if thetas.size > k:
-        thetas = thetas[-k:]
-        vectors = vectors[:, -k:]
-    return thetas, vectors
+    return np.array(thetas[-k:]), _fix_signs(np.column_stack(vectors[-k:]))
 
 
 def dense_lu_solve(A_dense, b):

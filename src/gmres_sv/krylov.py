@@ -111,11 +111,6 @@ class CycleWorkspace:
         W[:, krylov:] = self.Y[:, :aug]
         return W
 
-    @property
-    def W(self):
-        """The completed search-basis columns, assembled on demand."""
-        return self.search_basis(self.ncols)
-
 
 def arnoldi_expand(A, workspace, j, direction):
     """Orthogonalize one expansion direction and append column ``j``.

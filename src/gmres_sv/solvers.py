@@ -32,7 +32,6 @@ from .kernels import (
     PencilConditionError,
     SingularSystemError,
     gen_eig_largest_magnitude,
-    gen_eig_smallest_magnitude,
     sym_eig_smallest,
 )
 from .krylov import CycleWorkspace, run_cycle
@@ -42,11 +41,9 @@ __all__ = [
     "AugmentationSet",
     "SolverConfig",
     "CycleEntry",
-    "ConvergenceRecord",
     "SolveReport",
     "extract_singular_directions",
     "extract_harmonic_directions",
-    "paper_mvp_increment",
     "solve",
 ]
 
@@ -132,54 +129,18 @@ class CycleEntry:
     true_mvp: int
 
 
-class ConvergenceRecord:
-    """Per-cycle convergence history of a single solve."""
-
-    def __init__(self):
-        self.entries = []
-
-    def append(self, entry):
-        self.entries.append(entry)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    @property
-    def final_relres(self):
-        return self.entries[-1].relres if self.entries else None
-
-
 @dataclass
 class SolveReport:
-    """Solve outcome; ``converged`` holds exactly when ``final_relres <= tol``."""
+    """Solve outcome; ``converged`` holds exactly when ``final_relres <= tol``.
+
+    ``record`` lists one :class:`CycleEntry` per completed cycle, in order.
+    """
 
     x: np.ndarray
     converged: bool
-    record: ConvergenceRecord
+    record: list
     final_relres: float
     final_error_norm: float | None = None
-
-
-def paper_mvp_increment(variant, m, k, first_cycle=False):
-    """Per-cycle matvec count under the reporting convention.
-
-    Every variant's first cycle runs a full m-dimensional Krylov space and
-    costs ``m`` products; augmented variants then pay only for the ``m - k``
-    Krylov steps since the carried products are cached.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if not 0 <= k < m:
-        raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
-    if first_cycle or variant == "plain" or k == 0:
-        return m
-    return m - k
 
 
 def extract_singular_directions(cycle, k):
@@ -212,18 +173,16 @@ def extract_singular_directions(cycle, k):
     return AugmentationSet(Y=Y, AY=AY, sigma_sq=values)
 
 
-def extract_harmonic_directions(cycle, k, select="largest"):
+def extract_harmonic_directions(cycle, k):
     """Harmonic-pencil directions from a completed cycle.
 
     Builds ``F = H.T @ (Q.T @ W)``, which equals ``W.T @ A.T @ W`` up to the
-    factorization accuracy, and solves ``G @ g = theta * F @ g``. ``select``
-    picks which end of the magnitude-sorted spectrum supplies the ``k``
-    directions; the default ``"largest"`` is the behavior of the reference
-    baseline this package benchmarks against. A near-singular ``F`` yields
-    an empty set, signalling the driver to fall back to a pure Krylov cycle.
+    factorization accuracy, and solves ``G @ g = theta * F @ g``. The ``k``
+    directions come from the largest-magnitude end of the spectrum, the
+    behavior of the reference baseline this package benchmarks against. A
+    near-singular ``F`` yields an empty set, signalling the driver to fall
+    back to a pure Krylov cycle.
     """
-    if select not in ("largest", "smallest"):
-        raise ValueError(f"select must be 'largest' or 'smallest', got {select!r}")
     p = cycle.n_cols
     n = cycle.workspace.Q.shape[0]
     kk = min(k, p)
@@ -238,10 +197,7 @@ def extract_harmonic_directions(cycle, k, select="largest"):
     QtW[:, krylov:] = cycle.Q.T @ ws.Y[:, :aug]
     F = cycle.H.T @ QtW
     try:
-        if select == "largest":
-            values, vectors = gen_eig_largest_magnitude(G, F, kk)
-        else:
-            values, vectors = gen_eig_smallest_magnitude(G, F, kk)
+        values, vectors = gen_eig_largest_magnitude(G, F, kk)
     except PencilConditionError as exc:
         logger.info("skipping augmentation for one cycle: %s", exc)
         return AugmentationSet.empty(n)
@@ -271,7 +227,8 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     config : SolverConfig
     x_ref : (n,) array, optional
         Reference solution; when given, each cycle logs the error norm
-        ``norm(x - x_ref)``.
+        ``norm(x - x_ref)``, rescaled by its largest entry where the
+        squares of the entries overflow.
     on_cycle : callable, optional
         Diagnostics hook invoked as ``on_cycle(cycle_index, cycle_result)``
         after each cycle is recorded and before the next one reuses the
@@ -314,7 +271,7 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     for name, data in (("matrix", A.values), ("right-hand side", b), ("starting iterate", start)):
         if not np.all(np.isfinite(data)):
             raise ValueError(f"{name} holds non-finite entries")
-    record = ConvergenceRecord()
+    record = []
     exponent = math.frexp(np.max(np.abs(b), initial=0.0))[1]
     if abs(exponent) <= _SAFE_SCALE_EXPONENT:
         exponent = 0
@@ -325,7 +282,17 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     bnorm = float(np.linalg.norm(b))
 
     def err(vec):
-        return float(np.linalg.norm(np.ldexp(vec, exponent) - x_ref)) if x_ref is not None else None
+        if x_ref is None:
+            return None
+        with np.errstate(over="ignore"):
+            diff = np.ldexp(vec, exponent) - x_ref
+            norm = float(np.linalg.norm(diff))
+            if math.isinf(norm):
+                # the squares overflow; rescale by the largest entry
+                scale = float(np.max(np.abs(diff)))
+                if math.isfinite(scale):
+                    norm = scale * float(np.linalg.norm(diff / scale))
+        return norm
 
     if bnorm == 0.0:
         x = np.zeros(A.n_rows)
@@ -333,7 +300,8 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     r = b - spmv(A, x)
     true_mvp = 1
     paper_mvp = 0
-    relres = float(np.linalg.norm(r)) / bnorm
+    with np.errstate(over="ignore"):
+        relres = float(np.linalg.norm(r)) / bnorm
     if relres <= config.tol or not math.isfinite(relres):
         # A starting residual whose size relative to b overflows would only
         # carry infinities through the cycles; report it unconverged.
@@ -389,8 +357,8 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
                 aug = extract_harmonic_directions(result, config.k)
             if aug.size == 0:
                 aug = None
-    final_relres = record.final_relres if len(record) else relres
-    final_err = record.entries[-1].error_norm if len(record) else err(x)
+    final_relres = record[-1].relres if record else relres
+    final_err = record[-1].error_norm if record else err(x)
     return SolveReport(
         x=np.ldexp(x, exponent),
         converged=converged,

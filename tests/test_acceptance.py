@@ -124,8 +124,8 @@ class TestCriterion1LaplacianReproduction:
 
     def test_sv_converges_in_reference_window(self, laplacian_runs):
         report, _ = laplacian_runs["runs"]["sv"]
-        cycles = report.record.entries[-1].cycle
-        mvps = report.record.entries[-1].paper_mvp
+        cycles = report.record[-1].cycle
+        mvps = report.record[-1].paper_mvp
         ok = report.converged and 118 <= cycles <= 178 and 1892 <= mvps <= 2838
         check(
             1,
@@ -172,7 +172,7 @@ class TestCriterion3BidiagonalOrdering:
         cycles = {}
         for name, (report, _) in bidiagonal_runs["runs"].items():
             assert report.converged, f"{name} failed to converge"
-            cycles[name] = report.record.entries[-1].cycle
+            cycles[name] = report.record[-1].cycle
         sv = cycles["sv"]
         ok = (
             sv <= 18
@@ -273,15 +273,15 @@ class TestSvBeatsOrTiesPlain:
     def test_laplacian_sv_converges_where_plain_stalls(self, laplacian_runs):
         sv_report, _ = laplacian_runs["runs"]["sv"]
         plain_report, _ = laplacian_runs["runs"]["plain20"]
-        sv_cycles = sv_report.record.entries[-1].cycle if sv_report.converged else np.inf
-        plain_cycles = plain_report.record.entries[-1].cycle if plain_report.converged else np.inf
+        sv_cycles = sv_report.record[-1].cycle if sv_report.converged else np.inf
+        plain_cycles = plain_report.record[-1].cycle if plain_report.converged else np.inf
         assert sv_cycles <= plain_cycles
 
     def test_bidiagonal_sv_no_worse_than_plain(self, bidiagonal_runs):
         sv_report, _ = bidiagonal_runs["runs"]["sv"]
         plain_report, _ = bidiagonal_runs["runs"]["plain20"]
         assert sv_report.converged and plain_report.converged
-        assert sv_report.record.entries[-1].cycle <= plain_report.record.entries[-1].cycle
+        assert sv_report.record[-1].cycle <= plain_report.record[-1].cycle
 
     def test_laplacian_sv_with_two_directions(self, laplacian_runs):
         # Fewer carried directions converge slower but still beat the plain
@@ -290,8 +290,8 @@ class TestSvBeatsOrTiesPlain:
         b = laplacian_runs["b"]
         report = solve(A, b, None, SolverConfig("sv", m=20, k=2, max_cycles=400))
         plain_report, _ = laplacian_runs["runs"]["plain20"]
-        sv_cycles = report.record.entries[-1].cycle if report.converged else np.inf
-        plain_cycles = plain_report.record.entries[-1].cycle if plain_report.converged else np.inf
+        sv_cycles = report.record[-1].cycle if report.converged else np.inf
+        plain_cycles = plain_report.record[-1].cycle if plain_report.converged else np.inf
         assert sv_cycles <= plain_cycles
 
 
@@ -312,7 +312,7 @@ class TestCriterion8Sherman1Optional:
         A = read_matrix_market(matrix_path)
         b = read_matrix_market_rhs(rhs_path)
         report = solve(A, b, None, SolverConfig("sv", m=30, k=4, max_cycles=100))
-        cycles = report.record.entries[-1].cycle
+        cycles = report.record[-1].cycle
         increments = np.diff([0] + [e.paper_mvp for e in report.record])
         ok = report.converged and 26 <= cycles <= 42 and all(increments[1:] == 26)
         check(8, ok, f"sherman1 sv(30,4) converged={report.converged} cycles={cycles} (window [26, 42])")

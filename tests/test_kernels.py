@@ -10,7 +10,6 @@ from gmres_sv.kernels import (
     back_substitute,
     dense_lu_solve,
     gen_eig_largest_magnitude,
-    gen_eig_smallest_magnitude,
     givens_qr_hessenberg,
     sym_eig_smallest,
 )
@@ -171,18 +170,21 @@ class TestGeneralizedPencil:
         rng = np.random.default_rng(6)
         G = rng.standard_normal((6, 6))
         G = G.T @ G
-        values, vectors = gen_eig_smallest_magnitude(G, np.eye(6), 3)
-        ref_vals, ref_vecs = sym_eig_smallest(G, 3)
+        values, vectors = gen_eig_largest_magnitude(G, np.eye(6), 3)
+        # G is positive definite, so its largest-magnitude end is its top end
+        ref_vals, ref_vecs = np.linalg.eigh(G)
+        ref_vals, ref_vecs = ref_vals[-3:], ref_vecs[:, -3:]
         assert_allclose(values, ref_vals, rtol=1e-9, atol=1e-12 * np.linalg.norm(G))
         for i in range(3):
             assert abs(abs(vectors[:, i] @ ref_vecs[:, i]) - 1.0) <= 1e-8
 
     def test_diagonal_pencil_hand_solution(self):
-        G = np.diag([4.0, 9.0])
-        F = np.diag([2.0, 3.0])
-        values, vectors = gen_eig_smallest_magnitude(G, F, 2)
+        # thetas 2, 3 and 1: the two largest come back in ascending order
+        G = np.diag([4.0, 9.0, 1.0])
+        F = np.diag([2.0, 3.0, 1.0])
+        values, vectors = gen_eig_largest_magnitude(G, F, 2)
         assert_allclose(values, [2.0, 3.0], atol=1e-12)
-        assert_allclose(np.abs(vectors), np.eye(2), atol=1e-12)
+        assert_allclose(np.abs(vectors), np.eye(3, 2), atol=1e-12)
 
     def test_largest_magnitude_selection(self):
         G = np.diag([4.0, 9.0, 25.0])
@@ -198,7 +200,7 @@ class TestGeneralizedPencil:
             G = G.T @ G
             F = rng.standard_normal((m, m)) + m * np.eye(m)
             k = int(rng.integers(1, m + 1))
-            values, vectors = gen_eig_smallest_magnitude(G, F, k)
+            values, vectors = gen_eig_largest_magnitude(G, F, k)
             for i in range(values.size):
                 res = np.linalg.norm(G @ vectors[:, i] - values[i] * (F @ vectors[:, i]))
                 bound = 1e-8 * (np.linalg.norm(G) + abs(values[i]) * np.linalg.norm(F))
@@ -209,7 +211,16 @@ class TestGeneralizedPencil:
         G = np.eye(3)
         F = np.diag([1.0, 1.0, 1e-15])
         with pytest.raises(PencilConditionError):
-            gen_eig_smallest_magnitude(G, F, 1)
+            gen_eig_largest_magnitude(G, F, 1)
+
+    def test_complex_pair_discarded(self):
+        # the rotation block has eigenvalues +-i; only theta = 3 is real
+        G = np.zeros((3, 3))
+        G[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
+        G[2, 2] = 3.0
+        values, vectors = gen_eig_largest_magnitude(G, np.eye(3), 3)
+        assert_allclose(values, [3.0], atol=1e-12)
+        assert_allclose(np.abs(vectors), np.eye(3)[:, 2:], atol=1e-12)
 
 
 class TestDenseLuSolve:
