@@ -266,8 +266,11 @@ def _cmd_run(args):
 
 
 def _cmd_identities(args):
-    if args.n > 100:
-        print("identity checks are limited to n <= 100", file=sys.stderr)
+    if not 1 <= args.n <= 100:
+        print("identity checks need 1 <= n <= 100", file=sys.stderr)
+        return 1
+    if args.trials < 1:
+        print("identity checks need at least one trial", file=sys.stderr)
         return 1
     suites = [
         ("exact-direction minimizer identity", run_direction_identity_suite, 1e-8),

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "GivensChain",
-    "UpperTriangularFactor",
     "SingularSystemError",
     "PencilConditionError",
     "givens_qr_hessenberg",
@@ -58,17 +57,6 @@ class GivensChain:
     size: int = 0
 
 
-@dataclass
-class UpperTriangularFactor:
-    """The (p+1) x p triangular factor of a Hessenberg QR; the last row is zero."""
-
-    R: np.ndarray
-
-    @property
-    def order(self):
-        return self.R.shape[1]
-
-
 def givens_qr_hessenberg(H):
     """QR-factor an upper Hessenberg matrix with plane rotations.
 
@@ -81,8 +69,9 @@ def givens_qr_hessenberg(H):
     -------
     chain : GivensChain
         Rotations such that applying them in order to ``H`` yields ``R``.
-    factor : UpperTriangularFactor
-        The triangular factor with a nonnegative diagonal.
+    R : (p+1, p) array
+        The triangular factor with a nonnegative diagonal; its last row is
+        zero.
 
     A zero column pivot produces the identity rotation ``(c, s) = (1, 0)``.
     """
@@ -107,7 +96,7 @@ def givens_qr_hessenberg(H):
         R[j, j:] = upper
         R[j + 1, j] = 0.0
         chain.rotations.append((j, c, s))
-    return chain, UpperTriangularFactor(R=R)
+    return chain, R
 
 
 def apply_chain(chain, v):
@@ -123,15 +112,14 @@ def apply_chain(chain, v):
     return out
 
 
-def back_substitute(factor, g):
-    """Solve ``R[:p, :p] @ d = g`` for the leading square block of the factor.
+def back_substitute(R, g):
+    """Solve ``R[:p, :p] @ d = g`` for the leading square block of a ``(p+1, p)`` factor.
 
     Raises :class:`SingularSystemError` when a diagonal entry is negligible
     relative to the factor's Frobenius norm, which upstream signals a
     rank-deficient search space.
     """
-    R = factor.R
-    p = factor.order
+    p = R.shape[1]
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (p,):
         raise ValueError(f"right-hand side length {g.shape} does not match order {p}")
@@ -145,12 +133,14 @@ def back_substitute(factor, g):
 
 
 def _fix_signs(vectors):
-    """Flip columns so the first non-negligible component is positive."""
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size and col[idx[0]] < 0.0:
-            vectors[:, j] = -col
+    """Flip columns so the first component above 1e-12 in magnitude is positive.
+
+    Columns with no such component are left as they are.
+    """
+    big = np.abs(vectors) > 1e-12
+    lead = vectors[np.argmax(big, axis=0), np.arange(vectors.shape[1])]
+    flip = big.any(axis=0) & (lead < 0.0)
+    vectors[:, flip] = -vectors[:, flip]
     return vectors
 
 
@@ -197,30 +187,24 @@ def gen_eig_largest_magnitude(G, F, k):
         raise PencilConditionError(f"condition estimate {cond:.2e} exceeds {_PENCIL_COND_LIMIT:.0e}")
     M = np.linalg.solve(F, G)
     eigvals, eigvecs = np.linalg.eig(M)
-    g_fro = float(np.linalg.norm(G))
-    f_fro = float(np.linalg.norm(F))
-    thetas = []
-    vectors = []
-    for i in np.argsort(np.abs(eigvals), kind="stable"):
-        theta = eigvals[i]
-        if abs(theta.imag) > _COMPLEX_DISCARD_TOL * abs(theta.real):
-            logger.debug("discarding complex pencil eigenvalue %s", theta)
-            continue
-        vec = np.real(eigvecs[:, i])
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            continue
-        vec = vec / norm
-        theta = float(theta.real)
-        residual = np.linalg.norm(G @ vec - theta * (F @ vec))
-        if residual > _PENCIL_RESIDUAL_TOL * (g_fro + abs(theta) * f_fro):
-            logger.debug("discarding pencil pair with residual %.2e at theta=%.3e", residual, theta)
-            continue
-        thetas.append(theta)
-        vectors.append(vec)
-    if not thetas:
-        return np.zeros(0), np.zeros((G.shape[0], 0))
-    return np.array(thetas[-k:]), _fix_signs(np.column_stack(vectors[-k:]))
+    order = np.argsort(np.abs(eigvals), kind="stable")
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    real = ~(np.abs(eigvals.imag) > _COMPLEX_DISCARD_TOL * np.abs(eigvals.real))
+    thetas, vectors = eigvals.real[real], np.real(eigvecs[:, real])
+    norms = np.linalg.norm(vectors, axis=0)
+    nonzero = norms != 0.0
+    thetas, vectors = thetas[nonzero], vectors[:, nonzero] / norms[nonzero]
+    residuals = np.linalg.norm(G @ vectors - thetas * (F @ vectors), axis=0)
+    bounds = _PENCIL_RESIDUAL_TOL * (float(np.linalg.norm(G)) + np.abs(thetas) * float(np.linalg.norm(F)))
+    accurate = np.flatnonzero(~(residuals > bounds))
+    logger.debug(
+        "pencil pairs discarded: %d complex, %d zero vectors, %d residuals out of tolerance",
+        np.count_nonzero(~real),
+        np.count_nonzero(~nonzero),
+        thetas.size - accurate.size,
+    )
+    kept = accurate[-k:]
+    return thetas[kept], _fix_signs(vectors[:, kept])
 
 
 def dense_lu_solve(A_dense, b):

@@ -24,7 +24,6 @@ import numpy as np
 
 from .kernels import (
     SingularSystemError,
-    UpperTriangularFactor,
     apply_chain,
     back_substitute,
     givens_qr_hessenberg,
@@ -160,6 +159,7 @@ class CycleResult:
 
     ``relres`` equals the magnitude of the last entry of ``rotated_rhs``
     divided by ``norm(b)``; no extra matrix products are spent on it.
+    ``R`` is the ``(n_cols+1, n_cols)`` triangular factor of ``H``.
     ``n_matvecs`` counts the sparse products consumed by the Krylov steps
     (augmentation steps reuse cached products and are free). ``W``, ``Q``
     and ``H`` read the workspace, which the next cycle of the same solve
@@ -169,7 +169,7 @@ class CycleResult:
     x_new: np.ndarray
     relres: float
     workspace: CycleWorkspace
-    rfactor: UpperTriangularFactor
+    R: np.ndarray
     rotated_rhs: np.ndarray
     n_matvecs: int
     n_cols: int
@@ -237,12 +237,12 @@ def run_cycle(A, b, x0, aug, workspace, r0=None):
             break
     p = ws.ncols
     while True:
-        chain, rfactor = givens_qr_hessenberg(ws.H[: p + 1, :p])
+        chain, R = givens_qr_hessenberg(ws.H[: p + 1, :p])
         g = np.zeros(p + 1)
         g[0] = ws.beta
         rotated = apply_chain(chain, g)
         try:
-            d = back_substitute(rfactor, rotated[:p])
+            d = back_substitute(R, rotated[:p])
             break
         except SingularSystemError:
             # Only the breakdown column can be rank deficient; drop it.
@@ -257,7 +257,7 @@ def run_cycle(A, b, x0, aug, workspace, r0=None):
         x_new=x_new,
         relres=relres,
         workspace=ws,
-        rfactor=rfactor,
+        R=R,
         rotated_rhs=rotated,
         n_matvecs=n_matvecs,
         n_cols=p,

@@ -8,7 +8,9 @@ Three solver variants share one cycle engine:
     Each restart augments an (m-k)-dimensional Krylov space with k
     approximate right singular directions of the previous cycle's projected
     operator, taken from the small eigenvalues of the Gram matrix
-    ``G = R.T @ R``. The products ``A @ y`` are reconstructed from the
+    ``G = R.T @ R`` of the cycle's triangular factor ``CycleResult.R``. Both
+    augmented variants map their coefficient vectors ``g`` to directions
+    ``y = W @ g`` and rebuild ``A @ y`` as ``Q @ (H @ g)`` from the
     factorization, so augmented steps cost no matrix-vector products.
 ``hr``
     Same restart structure, but the carried directions come from the
@@ -84,18 +86,13 @@ class AugmentationSet:
     def size(self):
         return self.Y.shape[1]
 
-    @classmethod
-    def empty(cls, n):
-        return cls(Y=np.zeros((n, 0)), AY=np.zeros((n, 0)), sigma_sq=np.zeros(0))
-
 
 @dataclass
 class SolverConfig:
     """Restart-loop configuration.
 
     ``k`` counts carried directions and must stay below the cycle dimension
-    ``m``; the plain variant requires ``k == 0``. ``max_true_matvecs``
-    bounds the true matvec counter (``None`` disables the budget).
+    ``m``; the plain variant requires ``k == 0``.
     """
 
     variant: str
@@ -103,7 +100,6 @@ class SolverConfig:
     k: int = 0
     tol: float = 1e-8
     max_cycles: int = 300
-    max_true_matvecs: int | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -143,6 +139,13 @@ class SolveReport:
     final_error_norm: float | None = None
 
 
+def _carried_set(cycle, values, vectors):
+    """The carried set ``Y = W @ g``, ``AY = Q @ (H @ g)`` for the coefficient columns ``g`` of ``vectors``."""
+    Y = cycle.workspace.W_times(vectors, cycle.n_cols)
+    AY = cycle.Q @ (cycle.H @ vectors)
+    return AugmentationSet(Y=Y, AY=AY, sigma_sq=values)
+
+
 def extract_singular_directions(cycle, k):
     """Approximate right singular directions from a completed cycle.
 
@@ -151,26 +154,16 @@ def extract_singular_directions(cycle, k):
     the ``k`` smallest eigenvalues, and maps them back as ``Y = W @ g`` with
     cached products ``AY = Q @ (H @ g)``. Directions whose value is
     negligible relative to ``norm(G)`` are dropped; the caller fills any
-    deficit with extra Krylov steps.
+    deficit with extra Krylov steps. ``k < 1`` raises ``ValueError``.
     """
     p = cycle.n_cols
-    n = cycle.workspace.Q.shape[0]
-    kk = min(k, p)
-    if kk < 1:
-        return AugmentationSet.empty(n)
-    R = cycle.rfactor.R[:p, :p]
+    R = cycle.R[:p, :p]
     G = R.T @ R
-    values, vectors = sym_eig_smallest(G, kk)
+    values, vectors = sym_eig_smallest(G, min(k, p))
     keep = values > _DISCARD_SIGMA_TOL * float(np.linalg.norm(G))
     if not np.all(keep):
         logger.debug("discarding %d negligible singular directions", int(np.sum(~keep)))
-        values = values[keep]
-        vectors = vectors[:, keep]
-    if values.size == 0:
-        return AugmentationSet.empty(n)
-    Y = cycle.workspace.W_times(vectors, p)
-    AY = cycle.Q @ (cycle.H @ vectors)
-    return AugmentationSet(Y=Y, AY=AY, sigma_sq=values)
+    return _carried_set(cycle, values[keep], vectors[:, keep])
 
 
 def extract_harmonic_directions(cycle, k):
@@ -181,14 +174,10 @@ def extract_harmonic_directions(cycle, k):
     directions come from the largest-magnitude end of the spectrum, the
     behavior of the reference baseline this package benchmarks against. A
     near-singular ``F`` yields an empty set, signalling the driver to fall
-    back to a pure Krylov cycle.
+    back to a pure Krylov cycle. ``k < 1`` raises ``ValueError``.
     """
     p = cycle.n_cols
-    n = cycle.workspace.Q.shape[0]
-    kk = min(k, p)
-    if kk < 1:
-        return AugmentationSet.empty(n)
-    R = cycle.rfactor.R[:p, :p]
+    R = cycle.R[:p, :p]
     G = R.T @ R
     # The Krylov columns of W are the leading columns of the orthonormal Q.
     ws = cycle.workspace
@@ -197,21 +186,17 @@ def extract_harmonic_directions(cycle, k):
     QtW[:, krylov:] = cycle.Q.T @ ws.Y[:, :aug]
     F = cycle.H.T @ QtW
     try:
-        values, vectors = gen_eig_largest_magnitude(G, F, kk)
+        values, vectors = gen_eig_largest_magnitude(G, F, min(k, p))
     except PencilConditionError as exc:
         logger.info("skipping augmentation for one cycle: %s", exc)
-        return AugmentationSet.empty(n)
-    if values.size == 0:
-        return AugmentationSet.empty(n)
-    Y = ws.W_times(vectors, p)
-    AY = cycle.Q @ (cycle.H @ vectors)
-    norms = np.linalg.norm(Y, axis=0)
-    keep = norms > 1e-14 * max(1.0, float(norms.max(initial=0.0)))
-    if not np.all(keep):
-        logger.debug("discarding %d degenerate harmonic directions", int(np.sum(~keep)))
-        Y, AY, values = Y[:, keep], AY[:, keep], values[keep]
-    order = np.argsort(values, kind="stable")
-    return AugmentationSet(Y=Y[:, order], AY=AY[:, order], sigma_sq=values[order])
+        values, vectors = np.zeros(0), np.zeros((p, 0))
+    carried = _carried_set(cycle, values, vectors)
+    norms = np.linalg.norm(carried.Y, axis=0)
+    keep = np.flatnonzero(norms > 1e-14 * max(1.0, float(norms.max(initial=0.0))))
+    if keep.size < values.size:
+        logger.debug("discarding %d degenerate harmonic directions", values.size - keep.size)
+    order = keep[np.argsort(values[keep], kind="stable")]
+    return AugmentationSet(Y=carried.Y[:, order], AY=carried.AY[:, order], sigma_sq=values[order])
 
 
 def solve(A, b, x0, config, x_ref=None, on_cycle=None):
@@ -267,6 +252,8 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n_rows,):
         raise ValueError("right-hand side length does not match the matrix")
+    if x_ref is not None and np.shape(x_ref) != (A.n_rows,):
+        raise ValueError("reference solution length does not match the matrix")
     start = np.zeros(A.n_rows) if x0 is None else np.asarray(x0, dtype=np.float64)
     for name, data in (("matrix", A.values), ("right-hand side", b), ("starting iterate", start)):
         if not np.all(np.isfinite(data)):
@@ -339,8 +326,6 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
             on_cycle(cycle, result)
         if result.relres <= config.tol:
             converged = True
-            break
-        if config.max_true_matvecs is not None and true_mvp >= config.max_true_matvecs:
             break
         if (prev_relres - result.relres) < _STAGNATION_REL_IMPROVEMENT * prev_relres:
             stagnant += 1

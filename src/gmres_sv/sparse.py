@@ -314,9 +314,12 @@ def _read_size_line(stream, count):
     if len(tokens) != count:
         raise MatrixMarketParseError(line_no, f"expected {count} integers, got {len(tokens)} tokens")
     try:
-        return line_no, [int(t) for t in tokens]
+        sizes = [int(t) for t in tokens]
     except ValueError:
         raise MatrixMarketParseError(line_no, f"could not parse integers from {tokens!r}") from None
+    if min(sizes) < 0:
+        raise MatrixMarketParseError(line_no, f"negative size in {tokens!r}")
+    return line_no, sizes
 
 
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])

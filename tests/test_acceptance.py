@@ -58,7 +58,7 @@ class RunAudit:
             gap = np.linalg.norm(spmv(self.A, W @ u) - Q @ (H @ u)) / np.linalg.norm(u)
             self.max_factorization_probe = max(self.max_factorization_probe, gap)
         AW = np.column_stack([spmv(self.A, W[:, j]) for j in range(p)])
-        G = result.rfactor.R.T @ result.rfactor.R
+        G = result.R.T @ result.R
         gram_gap = np.linalg.norm(G - AW.T @ AW) / np.linalg.norm(G)
         self.max_gram_gap = max(self.max_gram_gap, gram_gap)
         recomputed = float(np.linalg.norm(self.b - spmv(self.A, result.x_new))) / self.bnorm
@@ -293,6 +293,36 @@ class TestSvBeatsOrTiesPlain:
         sv_cycles = report.record[-1].cycle if report.converged else np.inf
         plain_cycles = plain_report.record[-1].cycle if plain_report.converged else np.inf
         assert sv_cycles <= plain_cycles
+
+
+class TestPresetCountsPinned:
+    """Final (cycle, paper_mvp, true_mvp, converged) of every preset run.
+
+    A change to the extraction or the cycle that keeps the acceptance
+    windows can still move these counts; they are expected to stay put.
+    """
+
+    EXPECTED = {
+        "laplacian": {
+            "sv": (148, 2372, 2521, True),
+            "hr": (320, 5124, 5445, False),
+            "plain20": (260, 5200, 5461, False),
+            "plain24": (220, 5280, 5501, False),
+        },
+        "bidiagonal": {
+            "sv": (15, 272, 288, True),
+            "hr": (28, 506, 535, True),
+            "plain22": (20, 440, 461, True),
+            "plain20": (24, 480, 505, True),
+        },
+    }
+
+    def test_final_counts(self, laplacian_runs, bidiagonal_runs):
+        for preset, bundle in (("laplacian", laplacian_runs), ("bidiagonal", bidiagonal_runs)):
+            for name, expected in self.EXPECTED[preset].items():
+                report, _ = bundle["runs"][name]
+                last = report.record[-1]
+                assert (last.cycle, last.paper_mvp, last.true_mvp, report.converged) == expected, (preset, name)
 
 
 class TestCriterion8Sherman1Optional:

@@ -174,6 +174,21 @@ class TestMain:
     def test_identities_size_limit(self, capsys):
         assert cli.main(["identities", "--n", "101"]) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n", "0", "1 <= n <= 100"),
+            ("--n", "-3", "1 <= n <= 100"),
+            ("--trials", "0", "at least one trial"),
+            ("--trials", "-1", "at least one trial"),
+        ],
+    )
+    def test_identities_reject_empty_checks(self, capsys, flag, value, message):
+        assert cli.main(["identities", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "PASS" not in captured.out
+
     def test_presets_listing(self, capsys):
         assert cli.main(["presets"]) == 0
         out = capsys.readouterr().out

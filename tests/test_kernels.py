@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gmres_sv.kernels import (
     PencilConditionError,
     SingularSystemError,
-    UpperTriangularFactor,
+    _fix_signs,
     apply_chain,
     back_substitute,
     dense_lu_solve,
@@ -32,12 +34,12 @@ def signs_normalized(R):
 class TestGivensQr:
     def test_three_four_five(self):
         chain, factor = givens_qr_hessenberg(np.array([[3.0], [4.0]]))
-        assert_allclose(factor.R, [[5.0], [0.0]], atol=0)
+        assert_allclose(factor, [[5.0], [0.0]], atol=0)
         assert chain.rotations == [(0, 0.6, 0.8)]
 
     def test_zero_column_identity_rotation(self):
         chain, factor = givens_qr_hessenberg(np.zeros((2, 1)))
-        assert_allclose(factor.R, np.zeros((2, 1)), atol=0)
+        assert_allclose(factor, np.zeros((2, 1)), atol=0)
         assert chain.rotations == [(0, 1.0, 0.0)]
 
     def test_against_householder_oracle(self):
@@ -45,7 +47,7 @@ class TestGivensQr:
         H = random_hessenberg(rng, 20)
         _, factor = givens_qr_hessenberg(H)
         R_oracle = np.linalg.qr(H, mode="r")
-        diff = signs_normalized(factor.R[:20]) - signs_normalized(R_oracle[:20])
+        diff = signs_normalized(factor[:20]) - signs_normalized(R_oracle[:20])
         assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(H)
 
     def test_chain_maps_input_to_factor(self):
@@ -54,7 +56,7 @@ class TestGivensQr:
             H = random_hessenberg(rng, p)
             chain, factor = givens_qr_hessenberg(H)
             rotated = np.column_stack([apply_chain(chain, H[:, j]) for j in range(p)])
-            assert np.linalg.norm(rotated - factor.R) <= 1e-13 * np.linalg.norm(H)
+            assert np.linalg.norm(rotated - factor) <= 1e-13 * np.linalg.norm(H)
 
     def test_rotations_are_unit(self):
         rng = np.random.default_rng(9)
@@ -101,16 +103,16 @@ class TestApplyChain:
 
 class TestBackSubstitute:
     def test_identity(self):
-        factor = UpperTriangularFactor(R=np.vstack([np.eye(3), np.zeros(3)]))
+        factor = np.vstack([np.eye(3), np.zeros(3)])
         g = np.array([4.0, -1.0, 2.0])
         assert_allclose(back_substitute(factor, g), g, atol=0)
 
     def test_hand_solution(self):
-        factor = UpperTriangularFactor(R=np.array([[2.0, 1.0], [0.0, 4.0], [0.0, 0.0]]))
+        factor = np.array([[2.0, 1.0], [0.0, 4.0], [0.0, 0.0]])
         assert_allclose(back_substitute(factor, np.array([4.0, 8.0])), [1.0, 2.0], atol=0)
 
     def test_singular_diagonal(self):
-        factor = UpperTriangularFactor(R=np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
+        factor = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(SingularSystemError):
             back_substitute(factor, np.array([1.0, 1.0]))
 
@@ -131,7 +133,7 @@ class TestSymEigSmallest:
         rng = np.random.default_rng(2)
         H = np.triu(rng.standard_normal((21, 20)), -1)
         _, factor = givens_qr_hessenberg(H)
-        R = factor.R[:20]
+        R = factor[:20]
         G = R.T @ R
         values, _ = sym_eig_smallest(G, 20)
         oracle = np.sort(np.linalg.svd(H, compute_uv=False) ** 2)
@@ -221,6 +223,103 @@ class TestGeneralizedPencil:
         values, vectors = gen_eig_largest_magnitude(G, np.eye(3), 3)
         assert_allclose(values, [3.0], atol=1e-12)
         assert_allclose(np.abs(vectors), np.eye(3)[:, 2:], atol=1e-12)
+
+
+def fix_signs_reference(vectors):
+    """Per-column loop that the whole-array ``_fix_signs`` must reproduce."""
+    vectors = vectors.copy()
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        idx = np.flatnonzero(np.abs(col) > 1e-12)
+        if idx.size and col[idx[0]] < 0.0:
+            vectors[:, j] = -col
+    return vectors
+
+
+def pencil_reference(G, F, k):
+    """Per-pair loop with the filters that ``gen_eig_largest_magnitude`` must reproduce."""
+    cond = np.linalg.cond(F)
+    if not np.isfinite(cond) or cond >= 1e12:
+        raise PencilConditionError("reference")
+    eigvals, eigvecs = np.linalg.eig(np.linalg.solve(F, G))
+    g_fro, f_fro = np.linalg.norm(G), np.linalg.norm(F)
+    thetas, vectors = [], []
+    for i in np.argsort(np.abs(eigvals), kind="stable"):
+        theta = eigvals[i]
+        if abs(theta.imag) > 1e-10 * abs(theta.real):
+            continue
+        vec = np.real(eigvecs[:, i])
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            continue
+        vec = vec / norm
+        theta = float(theta.real)
+        if np.linalg.norm(G @ vec - theta * (F @ vec)) > 1e-8 * (g_fro + abs(theta) * f_fro):
+            continue
+        thetas.append(theta)
+        vectors.append(vec)
+    if not thetas:
+        return np.zeros(0), np.zeros((G.shape[0], 0))
+    return np.array(thetas[-k:]), fix_signs_reference(np.column_stack(vectors[-k:]))
+
+
+ENTRIES = st.floats(-4.0, 4.0, allow_subnormal=False) | st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12, -2e-12])
+
+
+def square(draw, m):
+    return np.array(draw(st.lists(ENTRIES, min_size=m * m, max_size=m * m))).reshape(m, m)
+
+
+@st.composite
+def pencils(draw):
+    m = draw(st.integers(1, 8))
+    G = square(draw, m)
+    if m >= 2 and draw(st.booleans()):
+        # a rotation block with eigenvalues +-i, decoupled from the rest
+        i = draw(st.integers(0, m - 2))
+        G[i : i + 2, :] = 0.0
+        G[:, i : i + 2] = 0.0
+        G[i, i + 1], G[i + 1, i] = -1.0, 1.0
+    F = np.eye(m) if draw(st.booleans()) else square(draw, m) + draw(st.sampled_from([0.0, 2.0, 8.0])) * np.eye(m)
+    return G, F, draw(st.integers(1, m))
+
+
+@st.composite
+def column_sets(draw):
+    m = draw(st.integers(1, 6))
+    columns = draw(st.lists(st.lists(ENTRIES | st.just(-0.0), min_size=m, max_size=m), max_size=6))
+    return np.array(columns, dtype=np.float64).reshape(-1, m).T
+
+
+# columns: zero, all tiny, first large entry negative, first large entry after a tiny negative one
+SIGN_CASE = np.array([[0.0, -0.0, 0.0], [-1e-12, 1e-13, -1e-12], [-2e-12, 5.0, -1.0], [-1e-13, 3.0, -1.0]]).T
+ROTATION_PENCIL = (np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]]), np.eye(3), 3)
+
+
+class TestWholeArrayKernelsMatchLoops:
+    @settings(deadline=None)
+    @example(SIGN_CASE)
+    @given(column_sets())
+    def test_fix_signs(self, vectors):
+        expected = fix_signs_reference(vectors)
+        assert _fix_signs(vectors.copy()).tobytes() == expected.tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @example(ROTATION_PENCIL)
+    @example((np.zeros((2, 2)), np.eye(2), 2))
+    @given(pencils())
+    def test_pencil_filters(self, pencil):
+        G, F, k = pencil
+        try:
+            ref_thetas, ref_vectors = pencil_reference(G, F, k)
+        except PencilConditionError:
+            with pytest.raises(PencilConditionError):
+                gen_eig_largest_magnitude(G, F, k)
+            return
+        thetas, vectors = gen_eig_largest_magnitude(G, F, k)
+        assert np.array_equal(thetas, ref_thetas)
+        assert vectors.shape == ref_vectors.shape
+        assert np.all(np.abs(vectors - ref_vectors) <= 1e-15)
 
 
 class TestDenseLuSolve:

@@ -130,7 +130,7 @@ class TestRunCycle:
         first = run_cycle(A, b, np.zeros(60), None, CycleWorkspace(b.size, 10))
         aug = extract_singular_directions(first, 3)
         result = run_cycle(A, b, first.x_new, aug, CycleWorkspace(b.size, 10))
-        R = result.rfactor.R
+        R = result.R
         G = R.T @ R
         AW = np.column_stack([spmv(A, result.W[:, j]) for j in range(result.n_cols)])
         gap = np.linalg.norm(G - AW.T @ AW)
@@ -155,7 +155,7 @@ class TestRunCycle:
         b = rng.standard_normal(30)
         result = run_cycle(A, b, np.zeros(30), None, CycleWorkspace(b.size, 6))
         p = result.n_cols
-        d = back_substitute(result.rfactor, result.rotated_rhs[:p])
+        d = back_substitute(result.R, result.rotated_rhs[:p])
         base = np.linalg.norm(b - spmv(A, result.W @ d))
         for i in range(p):
             for delta in (1e-3, -1e-3):

@@ -319,6 +319,13 @@ class TestMatrixMarketRead:
         with pytest.raises(MatrixMarketParseError, match="banner"):
             read_matrix_market(io.StringIO("2 2 1\n1 1 4.0\n"))
 
+    @pytest.mark.parametrize("size_line", ["-1 3 0", "3 -1 0", "3 3 -1"])
+    def test_negative_size_named(self, size_line):
+        text = BANNER + "% comment\n" + size_line + "\n"
+        with pytest.raises(MatrixMarketParseError, match="negative size") as excinfo:
+            read_matrix_market(io.StringIO(text))
+        assert excinfo.value.line_no == 3
+
     def test_path_input(self, tmp_path):
         path = tmp_path / "tiny.mtx"
         path.write_text(GENERAL_2X2)
@@ -543,6 +550,14 @@ class TestMatrixMarketRhsEntries:
         with pytest.raises(MatrixMarketParseError, match=r"entries at \(2, 1\) sum past the float range") as excinfo:
             read_matrix_market_rhs(NonSeekableText(text))
         assert excinfo.value.line_no == 6
+
+    @pytest.mark.parametrize(
+        "text", [ARRAY_BANNER + "-1 1\n", ARRAY_BANNER + "2 -1\n", BANNER + "-1 1 0\n", BANNER + "2 1 -1\n"]
+    )
+    def test_negative_size_named(self, text):
+        with pytest.raises(MatrixMarketParseError, match="negative size") as excinfo:
+            read_matrix_market_rhs(io.StringIO(text))
+        assert excinfo.value.line_no == 2
 
     def test_non_seekable_coordinate_vector(self):
         text = BANNER + "2 1 1\n% comment\n2 1 7.0\n"
