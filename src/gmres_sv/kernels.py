@@ -1,9 +1,9 @@
 """Small dense factorizations and eigensolvers.
 
 Everything here operates on matrices of modest order (restart dimensions,
-typically 20-40), with the exception of :func:`dense_lu_solve`, a desk-scale
-reference solver. All functions are pure and safe to call concurrently on
-distinct data.
+typically 20-40), except the reference solvers :func:`band_qr_solve`,
+O(n w**2) for a band of width w, and :func:`dense_lu_solve`, O(n**3). All
+functions are pure and safe to call concurrently on distinct data.
 """
 
 import logging
@@ -21,6 +21,8 @@ __all__ = [
     "sym_eig_smallest",
     "gen_eig_largest_magnitude",
     "dense_lu_solve",
+    "bandwidths",
+    "band_qr_solve",
 ]
 
 logger = logging.getLogger(__name__)
@@ -31,6 +33,9 @@ _SINGULAR_DIAG_TOL = 1e-14
 _PENCIL_COND_LIMIT = 1e12
 _PENCIL_RESIDUAL_TOL = 1e-8
 _COMPLEX_DISCARD_TOL = 1e-10
+# Columns per band QR block unless the band is wider. With kl + ku = 2, refined solves took 8.8 / 6.5 / 7.0 /
+# 12.9 ms at order 1000 and 43.8 / 32.3 / 34.3 / 62.5 ms at 5000 for 16 / 32 / 64 / 128 (2-core Xeon, 1 thread).
+_BAND_BLOCK = 32
 
 
 class SingularSystemError(RuntimeError):
@@ -226,3 +231,51 @@ def dense_lu_solve(A_dense, b):
         return np.linalg.solve(A_dense, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from None
+
+
+def bandwidths(A):
+    """Bandwidths ``(kl, ku)`` of a CSR matrix: the largest ``row - col`` and ``col - row``, at least 0."""
+    offsets = np.repeat(np.arange(A.n_rows), np.diff(A.row_ptr)) - A.col_idx
+    return int(offsets.max(initial=0)), int(-offsets.min(initial=0))
+
+
+def band_qr_solve(A, b):
+    """Reference solve of a square banded CSR system, without a dense copy, in O(n nb**2).
+
+    Householder QR (Golub & Van Loan, *Matrix Computations*, sec. 5.2) of ``nb = max(kl + ku,
+    32)`` columns ``[c0, c1)`` at a time, in a window over columns ``[c0, c1 + kl + ku)`` and the
+    rows up to ``c1 + kl`` not yet in ``R``, then one refinement step (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 12). Raises :class:`SingularSystemError` when a
+    diagonal entry of ``R`` is at most 1e-14 times the largest.
+    """
+    n = A.n_rows
+    kl, ku = bandwidths(A)
+    nb = max(_BAND_BLOCK, kl + ku)
+    rows = np.repeat(np.arange(n), np.diff(A.row_ptr))
+    blocks, carry, r0 = [], np.zeros((0, 0)), 0
+    for c0 in range(0, n, nb):
+        c1, r1 = min(c0 + nb, n), min(c0 + nb + kl, n)
+        window = np.zeros((len(carry) + r1 - r0, min(c1 + kl + ku, n) - c0))
+        window[: len(carry), : carry.shape[1]] = carry
+        lo, hi = A.row_ptr[r0], A.row_ptr[r1]
+        window[rows[lo:hi] - r0 + len(carry), A.col_idx[lo:hi] - c0] = A.values[lo:hi]
+        Q, R = np.linalg.qr(window, mode="complete")
+        blocks.append((c0, r0, r1, Q, R[: c1 - c0]))
+        carry, r0 = R[c1 - c0 :, c1 - c0 :], r1
+    diag = np.abs(np.concatenate([np.diag(R) for *_, R in blocks]))
+    if not diag.min() > _SINGULAR_DIAG_TOL * diag.max():
+        raise SingularSystemError("a diagonal entry of the band QR factor is negligible")
+
+    def solve(rhs):
+        heads, tail = [], np.zeros(0)
+        for _c0, r0, r1, Q, R in blocks:
+            head, tail = np.split(Q.T @ np.concatenate((tail, rhs[r0:r1])), [len(R)])
+            heads.append(head)
+        x = np.empty(n)
+        for (c0, _r0, _r1, _Q, R), y in zip(blocks[::-1], heads[::-1]):
+            k = len(R)
+            x[c0 : c0 + k] = np.linalg.solve(R[:, :k], y - R[:, k:] @ x[c0 + k : c0 + R.shape[1]])
+        return x
+
+    x = solve(b)
+    return x + solve(b - A @ x)

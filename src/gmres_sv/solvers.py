@@ -241,8 +241,8 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     Raises
     ------
     ValueError
-        When the shapes disagree or ``A``, ``b`` or ``x0`` holds a NaN or
-        an infinity.
+        When the shapes disagree or ``A``, ``b``, ``x0`` or ``x_ref`` holds
+        a NaN or an infinity.
 
     Each call is single threaded; concurrent calls sharing the same matrix
     are safe.
@@ -255,8 +255,9 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     if x_ref is not None and np.shape(x_ref) != (A.n_rows,):
         raise ValueError("reference solution length does not match the matrix")
     start = np.zeros(A.n_rows) if x0 is None else np.asarray(x0, dtype=np.float64)
-    for name, data in (("matrix", A.values), ("right-hand side", b), ("starting iterate", start)):
-        if not np.all(np.isfinite(data)):
+    checked = [("matrix", A.values), ("right-hand side", b), ("starting iterate", start), ("reference solution", x_ref)]
+    for name, data in checked:
+        if data is not None and not np.all(np.isfinite(data)):
             raise ValueError(f"{name} holds non-finite entries")
     record = []
     exponent = math.frexp(np.max(np.abs(b), initial=0.0))[1]

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import csr_from_dense
 from gmres_sv import cli
 from gmres_sv.cli import ExperimentPreset, VariantSpec, load_matrix, run_experiment
+from gmres_sv.kernels import dense_lu_solve
 from gmres_sv.solvers import SolverConfig, solve
-from gmres_sv.sparse import gen_laplacian_1d
+from gmres_sv.sparse import csr_from_coo, gen_laplacian_1d
 
 HEADER = "experiment,variant,m,k,cycle,paper_mvp,true_mvp,relres,errnorm,converged"
 
@@ -115,6 +117,60 @@ class TestRunExperiment:
         for chunk in (rows[:switch], rows[switch:]):
             cycles = [row["cycle"] for row in chunk]
             assert cycles == sorted(cycles)
+
+
+class TestReferenceSolution:
+    def count_dense_calls(self, monkeypatch):
+        calls = []
+
+        def counted(A_dense, b):
+            calls.append(A_dense.shape)
+            return dense_lu_solve(A_dense, b)
+
+        monkeypatch.setattr(cli, "dense_lu_solve", counted)
+        return calls
+
+    def test_narrow_band_skips_dense_lu(self, monkeypatch):
+        calls = self.count_dense_calls(monkeypatch)
+        A = gen_laplacian_1d(40)
+        x = cli.reference_solution(A, np.ones(40))
+        assert calls == []
+        assert np.linalg.norm(A @ x - 1.0) <= 1e-12
+
+    def test_wide_band_reaches_dense_lu(self, monkeypatch):
+        calls = self.count_dense_calls(monkeypatch)
+        dense = np.random.default_rng(40).standard_normal((40, 40)) + 40 * np.eye(40)
+        x = cli.reference_solution(csr_from_dense(dense), np.ones(40))
+        assert calls == [(40, 40)]
+        assert np.linalg.norm(dense @ x - 1.0) <= 1e-12
+
+    def test_laplacian_reference_as_close_as_dense_lu(self):
+        A = load_matrix("gen:laplacian1d:1000")
+        b = cli.load_rhs("e1en", 1000)  # exact solution: all ones
+        lu_error = np.abs(dense_lu_solve(A.to_dense(), b) - 1.0).max()
+        assert np.abs(cli.reference_solution(A, b) - 1.0).max() <= lu_error
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 0.0)],
+            [(i, i, 1.0) for i in range(40) if i not in (20, 21)] + [(i, j, 1.0) for i in (20, 21) for j in (20, 21)],
+            [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1e-310)],
+            [(0, 0, 1e-310), (1, 1, 1e-310), (2, 2, 1e-310)],
+            [(0, 0, 1.0), (0, 2, 1.0), (1, 1, 1.0), (2, 2, 1e-310)],
+        ],
+        ids=["zero-pivot", "singular-2x2-block", "subnormal-pivot", "overflowing-band", "overflowing-dense"],
+    )
+    def test_no_reference_for_singular_or_non_finite(self, entries):
+        n = max(i for i, _j, _v in entries) + 1
+        assert cli.reference_solution(csr_from_coo(entries, n, n), np.ones(n)) is None
+
+    def test_errnorm_empty_for_non_finite_reference(self, tmp_path, capsys):
+        path = tmp_path / "tiny.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1\n2 2 1\n3 3 1e-310\n")
+        assert cli.main(["run", "--matrix", str(path), "--variant", "plain", "--m", "2"]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert rows and all(row["errnorm"] is None for row in rows)
 
 
 class TestMain:

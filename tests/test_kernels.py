@@ -4,18 +4,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import csr_from_dense
 from gmres_sv.kernels import (
     PencilConditionError,
     SingularSystemError,
     _fix_signs,
     apply_chain,
     back_substitute,
+    band_qr_solve,
+    bandwidths,
     dense_lu_solve,
     gen_eig_largest_magnitude,
     givens_qr_hessenberg,
     sym_eig_smallest,
 )
-from gmres_sv.sparse import gen_laplacian_1d
+from gmres_sv.sparse import csr_from_coo, gen_laplacian_1d
 
 
 def random_hessenberg(rng, p):
@@ -348,3 +351,53 @@ class TestDenseLuSolve:
         big = np.broadcast_to(np.float64(0.0), (5001, 5001))
         with pytest.raises(ValueError, match="cap"):
             dense_lu_solve(big, np.ones(5001))
+
+
+def random_band(seed, n, kl, ku, dominant):
+    """Dense random matrix with bandwidths at most (kl, ku); made strictly diagonally dominant on request."""
+    rng = np.random.default_rng(seed)
+    rows, cols = np.indices((n, n))
+    dense = np.where((rows - cols <= kl) & (cols - rows <= ku), rng.standard_normal((n, n)), 0.0)
+    if dominant:
+        np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
+    return dense
+
+
+class TestBandQrSolve:
+    def test_bandwidths(self):
+        assert bandwidths(gen_laplacian_1d(5)) == (1, 1)
+        assert bandwidths(csr_from_coo([(0, 2, 1.0), (3, 1, 1.0)], 4, 4)) == (2, 2)
+        assert bandwidths(csr_from_coo([(2, 0, 1.0)], 3, 3)) == (2, 0)
+        assert bandwidths(csr_from_coo([], 3, 3)) == (0, 0)
+
+    # The block holds 32 columns: one short block, a partial last block,
+    # whole blocks only, and one-sided bands.
+    @settings(deadline=None, max_examples=150)
+    @example(1, 0, 0, 0, False)
+    @example(20, 4, 4, 1, True)
+    @example(100, 3, 0, 2, True)
+    @example(96, 0, 4, 3, False)
+    @example(300, 4, 4, 4, False)
+    @given(
+        st.integers(1, 300),
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_backward_error_and_agreement_with_lu(self, n, kl, ku, seed, dominant):
+        dense = random_band(seed, n, kl, ku, dominant)
+        b = np.random.default_rng(seed + 1).standard_normal(n)
+        try:
+            x = band_qr_solve(csr_from_dense(dense), b)
+        except SingularSystemError:
+            # R's diagonal spans more than 1e14, a lower bound on the condition number
+            assert not dominant
+            assert np.linalg.cond(dense) >= 1e13
+            return
+        inf = np.inf
+        residual = np.linalg.norm(b - dense @ x, inf)
+        assert residual <= 1e-14 * (np.linalg.norm(dense, inf) * np.linalg.norm(x, inf) + np.linalg.norm(b, inf))
+        if dominant:
+            x_lu = dense_lu_solve(dense, b)
+            assert np.linalg.norm(x - x_lu, inf) <= 1e-10 * np.linalg.norm(x_lu, inf)

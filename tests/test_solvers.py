@@ -359,11 +359,12 @@ class TestSolveProperties:
 
 
 class TestSolveBadInput:
-    @pytest.mark.parametrize("where", ["matrix", "right-hand side", "starting iterate"])
+    @pytest.mark.parametrize("where", ["matrix", "right-hand side", "starting iterate", "reference solution"])
     def test_non_finite_input_rejected(self, where):
         A = gen_laplacian_1d(50)
         b = np.ones(50)
         x0 = np.zeros(50)
+        x_ref = np.ones(50)
         if where == "matrix":
             # The constructor rejects non-finite values and freezes its
             # arrays; solve must still catch a value array that a caller
@@ -374,10 +375,12 @@ class TestSolveBadInput:
             A.values[4] = np.nan
         elif where == "right-hand side":
             b[3] = np.nan
-        else:
+        elif where == "starting iterate":
             x0[7] = np.inf
+        else:
+            x_ref[3] = np.nan
         with pytest.raises(ValueError, match=where):
-            solve(A, b, x0, SolverConfig("sv", 10, 2))
+            solve(A, b, x0, SolverConfig("sv", 10, 2), x_ref=x_ref)
 
     @pytest.mark.parametrize("shape", [(50, 1), (1,), (49,), ()])
     def test_misshaped_reference_solution_rejected(self, shape):
