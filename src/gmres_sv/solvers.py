@@ -129,7 +129,11 @@ class CycleEntry:
 class SolveReport:
     """Solve outcome; ``converged`` holds exactly when ``final_relres <= tol``.
 
-    ``record`` lists one :class:`CycleEntry` per completed cycle, in order.
+    ``record`` lists one :class:`CycleEntry` per completed cycle, in order,
+    each with the cycle's own residual estimate. ``final_relres`` is the
+    larger of the last estimate and the relative residual recomputed from
+    ``x``, so a cycle whose estimate has drifted from its iterate, as on a
+    badly graded matrix, does not count as converged.
     """
 
     x: np.ndarray
@@ -222,8 +226,10 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     Returns
     -------
     SolveReport
-        Budget exhaustion, stagnation and a singular projected system yield
-        ``converged=False`` with the last iterate rather than an exception.
+        Budget exhaustion, stagnation, a singular projected system and a
+        cycle whose iterate or residual is not finite yield
+        ``converged=False`` with the last finite iterate and its relative
+        residual rather than an exception.
         A stagnation guard stops the loop after 10 consecutive cycles with
         relative residual improvement below 1e-14. A starting residual too
         large to measure against ``b`` ends the solve at once with
@@ -300,20 +306,26 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
 
     workspace = CycleWorkspace(A.n_rows, config.m)
     aug = None
-    prev_relres = relres
+    prev_relres = final_relres = relres
     stagnant = 0
-    converged = False
     for cycle in range(1, config.max_cycles + 1):
         try:
-            result = run_cycle(A, b, x, aug, workspace, r0=r)
+            # a pivot too small for the float range overflows here; the
+            # finiteness test below reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = run_cycle(A, b, x, aug, workspace, r0=r)
+                r_new = b - spmv(A, result.x_new)
+                true_relres = float(np.linalg.norm(r_new)) / bnorm
         except SingularSystemError as exc:
             logger.info("stopping at cycle %d on a singular projected system: %s", cycle, exc)
             break
+        if not (math.isfinite(result.relres) and math.isfinite(true_relres) and np.isfinite(result.x_new).all()):
+            logger.info("stopping at cycle %d: the new iterate or its residual is not finite", cycle)
+            break
         paper_mvp += result.n_matvecs
-        true_mvp += result.n_matvecs
-        x = result.x_new
-        r = b - spmv(A, x)
-        true_mvp += 1
+        true_mvp += result.n_matvecs + 1
+        x, r = result.x_new, r_new
+        final_relres = max(result.relres, true_relres)
         record.append(
             CycleEntry(
                 cycle=cycle,
@@ -325,9 +337,10 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
         )
         if on_cycle is not None:
             on_cycle(cycle, result)
-        if result.relres <= config.tol:
-            converged = True
+        if final_relres <= config.tol:
             break
+        if result.relres <= config.tol:
+            logger.info("cycle %d: the residual recomputed from x, %.3g, is above tol; continuing", cycle, true_relres)
         if (prev_relres - result.relres) < _STAGNATION_REL_IMPROVEMENT * prev_relres:
             stagnant += 1
         else:
@@ -343,11 +356,10 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
                 aug = extract_harmonic_directions(result, config.k)
             if aug.size == 0:
                 aug = None
-    final_relres = record[-1].relres if record else relres
     final_err = record[-1].error_norm if record else err(x)
     return SolveReport(
         x=np.ldexp(x, exponent),
-        converged=converged,
+        converged=final_relres <= config.tol,
         record=record,
         final_relres=final_relres,
         final_error_norm=final_err,

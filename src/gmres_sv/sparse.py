@@ -54,17 +54,18 @@ class MatrixMarketParseError(MatrixMarketError):
         super().__init__(f"line {line_no}: {message}")
 
 
-# Above this ratio of padded slots to stored entries, spmv keeps the
-# coordinate layout: one dense row would otherwise pad every row to its
-# width. Measured on random matrices of 5-entry rows with some rows widened,
-# and of 1..w-entry rows (2-core Xeon, one thread), the ELL time over the
-# bincount time is 0.44 at fill 1.0 and 0.58-0.73 at 1.5, and passes 1 near
-# fill 2.3 at order 25600; at order 1000, where the per-slot call overhead
-# dominates, it is 0.71 at 1.0 and passes 1 between 1.3 and 1.5 (1.12 at
-# 1.5). 1.5 is the lower crossover, so ELL never runs where it measured
-# notably slower, and its slot arrays stay within 24 B per stored entry
-# against the 8 B of row indices the fallback keeps.
-_ELL_MAX_FILL = 1.5
+# Above this ratio of diagonal slots to stored entries, spmv keeps the
+# coordinate layout: a dense row or scattered columns would otherwise store
+# one mostly empty diagonal per distinct offset. Measured on random
+# 5-diagonal matrices with holes (2-core Xeon, one thread, best of 9), the
+# DIA time over the bincount time at order 1000, where the per-diagonal call
+# overhead dominates, is 0.55 at fill 1.0, 0.65 at 1.2, 0.87-1.06 at 1.5 and
+# 1.15-1.2 at 2.3; at order 25600 it is 0.1 at 1.0, 0.35 at 1.5 and 0.5-0.7
+# at 2.3. 1.5 is the lower crossover, so DIA never runs where it measured
+# notably slower, and its value array stays within 12 B per stored entry
+# against the 8 B of row indices the fallback keeps. Uniform rows with
+# scattered columns, such as a permutation plus the diagonal, take bincount.
+_DIA_MAX_FILL = 1.5
 
 
 def _frozen(data, dtype):
@@ -93,18 +94,19 @@ class CsrMatrix:
     array it derives, read-only, so an instance cannot change after its
     checks and is safe to share across threads.
 
-    For :func:`spmv` it also stores the rows slot-major and padded to the
-    longest row ``w`` ("ELL"): a ``(w, n_rows)`` array of column indices
-    and one of values. Slot ``s`` holds each row's ``s``-th stored entry;
-    a padded slot holds 0.0 and repeats the row's last column (column 0 for
-    an empty row), so it adds nothing to a finite product and gathers only
-    what the row already reads. When padding would exceed
-    ``_ELL_MAX_FILL * nnz`` slots, as a single dense row causes, or when
-    there is no entry, the instance keeps each entry's row index for a
-    ``bincount`` scatter instead.
+    For :func:`spmv` it also stores the matrix by diagonals ("DIA"): the
+    distinct offsets ``col - row`` of the stored entries, ascending, and a
+    ``(n_diags, n_rows)`` array whose row ``d`` holds diagonal ``d`` at each
+    row's index, 0.0 where the row stores nothing on it or the diagonal
+    leaves the matrix. Each diagonal keeps the slice of rows it meets, so no
+    column index is read per product and a rectangular matrix needs no
+    special case. When that array would exceed ``_DIA_MAX_FILL * nnz``
+    slots, as a dense row or scattered columns cause, or when there is no
+    entry, the instance keeps each entry's row index for a ``bincount``
+    scatter instead.
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "values", "_ell", "_coo_rows")
+    __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "values", "_dia", "_coo_rows")
 
     def __init__(self, n_rows, n_cols, row_ptr, col_idx, values):
         n_rows = int(n_rows)
@@ -138,21 +140,25 @@ class CsrMatrix:
         self.row_ptr = row_ptr
         self.col_idx = col_idx
         self.values = values
-        self._ell = self._coo_rows = None
-        width = int(lengths.max(initial=0))
-        if not width or width * n_rows > _ELL_MAX_FILL * values.size:
+        self._dia = self._coo_rows = None
+        # each entry's diagonal, counted from the lowest offset 1 - n_rows;
+        # a count per diagonal avoids the sort and the copies of np.unique
+        diag = col_idx - rows
+        diag += n_rows - 1
+        diags = np.flatnonzero(np.bincount(diag, minlength=n_rows + n_cols))
+        if not values.size or diags.size * n_rows > _DIA_MAX_FILL * values.size:
             rows.flags.writeable = False
             self._coo_rows = rows
             return
-        slot_cols = np.empty((width, n_rows), dtype=np.int64)
-        slot_cols[:] = np.where(lengths > 0, col_idx[np.maximum(row_ptr[1:] - 1, 0)], 0)
-        slot_vals = np.zeros((width, n_rows))
-        slot = np.arange(values.size) - np.repeat(row_ptr[:-1], lengths)
-        slot_cols[slot, rows] = col_idx
-        slot_vals[slot, rows] = values
-        slot_cols.flags.writeable = slot_vals.flags.writeable = False
-        # one (columns, values) pair per slot, so spmv slices nothing per call
-        self._ell = tuple(zip(slot_cols, slot_vals))
+        data = np.zeros((diags.size, n_rows))
+        data[np.searchsorted(diags, diag), rows] = values
+        data.flags.writeable = False
+        # per diagonal: the rows it meets, their values and the matching x slice
+        self._dia = tuple(
+            (slice(lo, hi), vals[lo:hi], slice(lo + o, hi + o))
+            for o, vals in zip((diags - (n_rows - 1)).tolist(), data)
+            for lo, hi in [(max(0, -o), min(n_rows, n_cols - o))]
+        )
 
     @property
     def shape(self):
@@ -218,20 +224,22 @@ def csr_from_coo(triples, n_rows, n_cols):
 def spmv(A, x):
     """Sparse matrix-vector product ``A @ x``.
 
-    On the slot-major layout each row is summed in stored order, one gather
-    and one multiply-add per slot, so for finite ``x`` the product equals,
-    value for value, the ``bincount`` scatter that the coordinate fallback
-    runs (a zero row sum may differ in the sign of the zero).
+    On the diagonal layout each diagonal adds one contiguous slice product,
+    in ascending offset order, which is each row's stored column order; so
+    for finite ``x`` the product equals, value for value, the ``bincount``
+    scatter that the coordinate fallback runs. A hole inside a diagonal
+    multiplies 0.0 by an entry of ``x`` in a column that row does not store,
+    so where ``x`` holds an infinity the diagonal product can read NaN where
+    the scatter gives a finite value.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.n_cols,):
         raise ValueError(f"vector length {x.shape} does not match matrix shape {A.shape}")
-    if A._ell is None:
+    if A._dia is None:
         return np.bincount(A._coo_rows, weights=A.values * x[A.col_idx], minlength=A.n_rows)
-    cols, vals = A._ell[0]
-    y = vals * x[cols]
-    for cols, vals in A._ell[1:]:
-        y += vals * x[cols]
+    y = np.zeros(A.n_rows)
+    for rows, vals, cols in A._dia:
+        y[rows] += vals * x[cols]
     return y
 
 
@@ -325,18 +333,21 @@ def _read_size_line(stream, count):
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
-def _read_entries(stream, line_no, n_rows, n_cols, nnz, kind):
+def _read_entries(stream, line_no, n_rows, n_cols, nnz, kind, path=None):
     """Read the ``nnz`` coordinate lines that follow the size line ``line_no``.
 
     Returns 0-based ``(rows, cols, vals)``. One ``np.loadtxt`` pass parses the
     body and whole-array checks validate it; only when one of them fails is
-    the body scanned again line by line to name the first bad line.
+    the body scanned again line by line to name the first bad line. Given
+    the ``path`` that ``stream`` reads, numpy reads the file itself, in C
+    chunks, past the first ``line_no`` lines; a stream it iterates by line.
     """
     offset = stream.tell()
+    source, skip = (stream, 0) if path is None else (path, line_no)
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            entries = np.loadtxt(stream, dtype=_ENTRY, comments="%", ndmin=1)
+            entries = np.loadtxt(source, dtype=_ENTRY, comments="%", skiprows=skip, ndmin=1, encoding="ascii")
     except ValueError:
         pass
     else:
@@ -414,7 +425,7 @@ def read_matrix_market(source):
             raise MatrixMarketFormatError(f"unsupported symmetry '{symmetry}'")
         line_no, (n_rows, n_cols, nnz) = _read_size_line(stream, 3)
         offset = stream.tell()
-        rows, cols, vals = _read_entries(stream, line_no, n_rows, n_cols, nnz, "matrix")
+        rows, cols, vals = _read_entries(stream, line_no, n_rows, n_cols, nnz, "matrix", source if owned else None)
         if symmetry == "symmetric":
             off = rows != cols
             rows, cols, vals = (np.concatenate([a, b[off]]) for a, b in ((rows, cols), (cols, rows), (vals, vals)))
@@ -450,7 +461,7 @@ def read_matrix_market_rhs(source):
             raise MatrixMarketFormatError(f"expected a single column, got {m}")
         if fmt == "coordinate":
             offset = stream.tell()
-            rows, _, vals = _read_entries(stream, line_no, n, 1, nnz[0], "vector")
+            rows, _, vals = _read_entries(stream, line_no, n, 1, nnz[0], "vector", source if owned else None)
             data = np.zeros(n, dtype=np.float64)
             with np.errstate(over="ignore"):
                 np.add.at(data, rows, vals)

@@ -9,6 +9,8 @@ from gmres_sv.solvers import SolverConfig, solve
 from gmres_sv.sparse import csr_from_coo, gen_laplacian_1d
 
 HEADER = "experiment,variant,m,k,cycle,paper_mvp,true_mvp,relres,errnorm,converged"
+# diag(1, 1, 1e-310): the second plain(2) cycle divides by the subnormal pivot
+SUBNORMAL_PIVOT_MTX = "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1\n2 2 1\n3 3 1e-310\n"
 
 
 def parse_csv(text):
@@ -165,12 +167,21 @@ class TestReferenceSolution:
         n = max(i for i, _j, _v in entries) + 1
         assert cli.reference_solution(csr_from_coo(entries, n, n), np.ones(n)) is None
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_errnorm_empty_for_non_finite_reference(self, tmp_path, capsys):
         path = tmp_path / "tiny.mtx"
-        path.write_text("%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1\n2 2 1\n3 3 1e-310\n")
+        path.write_text(SUBNORMAL_PIVOT_MTX)
         assert cli.main(["run", "--matrix", str(path), "--variant", "plain", "--m", "2"]) == 0
         rows = parse_csv(capsys.readouterr().out)
         assert rows and all(row["errnorm"] is None for row in rows)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_iterate_prints_unconverged(self, tmp_path, capsys):
+        path = tmp_path / "tiny.mtx"
+        path.write_text(SUBNORMAL_PIVOT_MTX)
+        assert cli.main(["run", "--matrix", str(path), "--variant", "plain", "--m", "2"]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert rows[-1]["converged"] == "0" and rows[-1]["relres"] > 0.5
 
 
 class TestMain:

@@ -331,31 +331,48 @@ class TestSolveScaling:
 
 @st.composite
 def small_systems(draw):
-    """A random sparse system of order 4-30 and a solver configuration."""
+    """A random sparse system of order 4-30, its row-scaling depth and a solver configuration.
+
+    With depth ``d > 0`` the rows are scaled by powers of ten graded from 1
+    down to ``10**-d``, or one row alone by ``10**-d``; depths 310 and 320
+    take entries below the smallest normal float.
+    """
     n = draw(st.integers(4, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    A, _ = random_csr(rng, n, n, density=draw(st.floats(0.05, 0.5)), shift=draw(st.floats(1.0, 6.0)))
+    _, dense = random_csr(rng, n, n, density=draw(st.floats(0.05, 0.5)), shift=draw(st.floats(1.0, 6.0)))
+    depth = draw(st.sampled_from([0, 30, 300, 310, 320]))
+    if draw(st.booleans()):
+        scale = 10.0 ** -(depth * np.arange(n) / (n - 1))
+    else:
+        scale = np.ones(n)
+        scale[draw(st.integers(0, n - 1))] = 10.0**-depth
     variant = draw(st.sampled_from(["plain", "sv", "hr"]))
     m = draw(st.integers(2, 10))
     k = 0 if variant == "plain" else draw(st.integers(1, m - 1))
     config = SolverConfig(variant, m, k, tol=1e-8, max_cycles=draw(st.integers(1, 25)))
-    return A, rng.standard_normal(n), config
+    return csr_from_dense(scale[:, None] * dense), rng.standard_normal(n), depth, config
 
 
 class TestSolveProperties:
     @settings(deadline=None, max_examples=150)
     @given(small_systems())
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_report_invariants(self, case):
-        A, b, config = case
+        A, b, depth, config = case
         report = solve(A, b, None, config)
-        relres = [e.relres for e in report.record]
-        # d = 0 is feasible in every cycle, so the residual cannot grow
-        assert all(later <= earlier * (1 + 1e-10) + 1e-15 for earlier, later in zip(relres, relres[1:]))
+        assert np.all(np.isfinite(report.x))
         recomputed = np.linalg.norm(b - spmv(A, report.x)) / np.linalg.norm(b)
-        assert abs(report.final_relres - recomputed) <= 1e-8
         assert report.converged == (report.final_relres <= config.tol)
-        last = report.record[-1]
-        assert last.true_mvp == last.paper_mvp + last.cycle + 1
+        if report.converged:
+            assert abs(report.final_relres - recomputed) <= 1e-8
+        if report.record:
+            last = report.record[-1]
+            assert last.true_mvp == last.paper_mvp + last.cycle + 1
+        if depth == 0:
+            relres = [e.relres for e in report.record]
+            # d = 0 is feasible in every cycle, so the residual cannot grow
+            assert all(later <= earlier * (1 + 1e-10) + 1e-15 for earlier, later in zip(relres, relres[1:]))
+            assert abs(report.final_relres - recomputed) <= 1e-8
 
 
 class TestSolveBadInput:
@@ -398,3 +415,17 @@ class TestSolveBadInput:
         assert np.all(np.isfinite(report.x))
         relres = np.linalg.norm(b - spmv(A, report.x)) / np.linalg.norm(b)
         assert report.final_relres == pytest.approx(relres, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("variant,k", [("sv", 1), ("hr", 1), ("plain", 0)])
+    def test_subnormal_pivot_not_reported_converged(self, variant, k, caplog):
+        # the second cycle's pivot 1e-310 passes a tolerance that underflows
+        # to 0.0 and its division overflows: x would hold inf and NaN
+        A = csr_from_coo([(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1e-310)], 3, 3)
+        b = np.ones(3)
+        with caplog.at_level("INFO", logger="gmres_sv.solvers"):
+            report = solve(A, b, None, SolverConfig(variant, 2, k))
+        assert not report.converged
+        assert np.array_equal(report.x, np.ones(3))
+        assert len(report.record) == 1 and report.final_relres == pytest.approx(1 / np.sqrt(3), rel=1e-12)
+        assert "not finite" in caplog.text

@@ -112,27 +112,42 @@ def bincount_product(A, x):
     return np.bincount(rows, weights=A.values * x[A.col_idx], minlength=A.n_rows)
 
 
-def slot_arrays(A):
-    """The slot-major column and value arrays, each of shape (width, n_rows)."""
-    return np.array([cols for cols, _ in A._ell]), np.array([vals for _, vals in A._ell])
+def diagonal_arrays(A):
+    """The stored offsets and the (n_diags, n_rows) value array behind the per-diagonal views."""
+    offsets = [cols.start - rows.start for rows, _, cols in A._dia]
+    data = A._dia[0][1].base
+    assert all(vals.base is data for _, vals, _ in A._dia)
+    return offsets, data
 
 
 def takes_fallback(A):
-    """Whether the matrix is empty or padding every row to the longest exceeds 1.5 slots per entry."""
-    width = int(np.diff(A.row_ptr).max(initial=0))
-    return A.nnz == 0 or width * A.n_rows > 1.5 * A.nnz
+    """Whether the matrix is empty or its diagonals hold more than 1.5 slots per entry."""
+    rows = np.repeat(np.arange(A.n_rows), np.diff(A.row_ptr))
+    return A.nnz == 0 or np.unique(A.col_idx - rows).size * A.n_rows > 1.5 * A.nnz
 
 
 @st.composite
 def sparse_systems(draw):
-    """A random CSR matrix (empty rows, any shape, optionally one dense row) and a finite x."""
-    n_rows = draw(st.integers(0, 9))
-    n_cols = draw(st.integers(1, 9))
+    """A random CSR matrix of any shape and a finite x.
+
+    Half the cases are a few diagonals with some holes on a near-square
+    shape, which mostly take the diagonal layout; the rest are scattered
+    cells with empty rows and optionally one dense row, which mostly take
+    the coordinate fallback.
+    """
+    banded = draw(st.booleans())
+    n_rows = draw(st.integers(int(banded), 9))
+    n_cols = max(1, n_rows + draw(st.integers(-2, 2))) if banded else draw(st.integers(1, 9))
     value = st.floats(-1e100, 1e100, allow_nan=False, width=64)
-    cells = draw(st.sets(st.tuples(st.integers(0, max(n_rows - 1, 0)), st.integers(0, n_cols - 1)), max_size=30))
-    if n_rows and draw(st.booleans()):
-        dense_row = draw(st.integers(0, n_rows - 1))
-        cells |= {(dense_row, j) for j in range(n_cols)}
+    if banded:
+        offsets = draw(st.sets(st.integers(max(1 - n_rows, -2), min(n_cols - 1, 2)), min_size=1, max_size=3))
+        band = sorted({(i, i + o) for o in offsets for i in range(n_rows) if 0 <= i + o < n_cols})
+        cells = set(band) - draw(st.sets(st.sampled_from(band), max_size=len(band) // 4))
+    else:
+        cells = draw(st.sets(st.tuples(st.integers(0, max(n_rows - 1, 0)), st.integers(0, n_cols - 1)), max_size=30))
+        if n_rows and draw(st.booleans()):
+            dense_row = draw(st.integers(0, n_rows - 1))
+            cells |= {(dense_row, j) for j in range(n_cols)}
     triples = [(i, j, draw(value)) for i, j in sorted(cells)] if n_rows else []
     x = np.array(draw(st.lists(value, min_size=n_cols, max_size=n_cols)))
     return csr_from_coo(triples, n_rows, n_cols), x
@@ -143,38 +158,63 @@ class TestSlotLayout:
     @given(sparse_systems())
     def test_product_equals_bincount(self, case):
         A, x = case
-        assert (A._ell is None) == takes_fallback(A)
-        assert (A._coo_rows is None) != (A._ell is None)
+        assert (A._dia is None) == takes_fallback(A)
+        assert (A._coo_rows is None) != (A._dia is None)
         assert np.array_equal(spmv(A, x), bincount_product(A, x))
 
-    def test_uniform_rows_take_slots(self):
+    def test_laplacian_takes_three_diagonals(self):
         A = gen_laplacian_1d(7)
-        slot_cols, slot_vals = slot_arrays(A)
-        assert slot_cols.shape == slot_vals.shape == (3, 7)
+        offsets, data = diagonal_arrays(A)
+        assert offsets == [-1, 0, 1] and data.shape == (3, 7)
         assert A._coo_rows is None
-        # row 0 holds (0, 1): its third slot pads with value 0 at column 1
-        assert list(slot_cols[:, 0]) == [0, 1, 1] and list(slot_vals[:, 0]) == [2.0, -1.0, 0.0]
+        # the sub- and superdiagonal leave the matrix at row 0 and row 6
+        assert data[0, 0] == 0.0 and data[2, 6] == 0.0
+        assert np.all(data[0, 1:] == -1.0) and np.all(data[1] == 2.0) and np.all(data[2, :6] == -1.0)
+        assert [(rows.start, rows.stop) for rows, _, _ in A._dia] == [(1, 7), (0, 7), (0, 6)]
+
+    def test_rows_sum_in_stored_column_order(self):
+        # 1 + 1e16 rounds to 1e16, so row 1 reads 0.0 in column order and
+        # 1.0 in any order that adds the 1 last
+        A = gen_laplacian_1d(3)
+        x = np.array([-1.0, 0.5e16, 1e16])
+        y = spmv(A, x)
+        assert y[1] == 0.0 and np.array_equal(y, bincount_product(A, x))
+
+    def test_rectangular_diagonal_cut_by_columns(self):
+        # 4 x 3: row 3 meets the main diagonal at column 3, outside the matrix
+        A = csr_from_coo([(0, 0, 1.0), (1, 0, 2.0), (1, 1, 3.0), (2, 1, 4.0), (2, 2, 5.0), (3, 2, 6.0)], 4, 3)
+        offsets, data = diagonal_arrays(A)
+        assert offsets == [-1, 0] and data.shape == (2, 4)
+        spans = [(rows.start, rows.stop, cols.start, cols.stop) for rows, _, cols in A._dia]
+        assert spans == [(1, 4, 0, 3), (0, 3, 0, 3)]
+        assert data[0, 0] == 0.0 and data[1, 3] == 0.0
+        x = np.array([1.0, 10.0, 100.0])
+        assert np.array_equal(spmv(A, x), A.to_dense() @ x)
 
     def test_dense_row_falls_back_to_coordinates(self):
         n = 20
         triples = [(0, j, 1.0) for j in range(n)] + [(i, i, 2.0) for i in range(1, n)]
         A = csr_from_coo(triples, n, n)
-        assert A._ell is None
+        assert A._dia is None
         x = np.arange(1.0, n + 1.0)
         assert np.array_equal(spmv(A, x), A.to_dense() @ x)
 
     @pytest.mark.parametrize("n_rows, n_cols", [(0, 3), (3, 4), (4, 0)])
     def test_no_entries(self, n_rows, n_cols):
         A = csr_from_coo([], n_rows, n_cols)
-        assert A._ell is None
+        assert A._dia is None
         y = spmv(A, np.ones(n_cols))
         assert y.shape == (n_rows,) and not y.any()
 
-    def test_empty_row_pads_with_column_zero(self):
-        A = csr_from_coo([(0, 2, 1.0), (0, 3, 2.0), (2, 1, 3.0), (2, 3, 4.0), (3, 0, 5.0), (3, 1, 6.0)], 4, 4)
-        slot_cols, slot_vals = slot_arrays(A)
-        assert list(slot_cols[:, 1]) == [0, 0] and list(slot_vals[:, 1]) == [0.0, 0.0]
-        assert np.array_equal(spmv(A, np.arange(4.0)), [8.0, 0.0, 15.0, 6.0])
+    def test_empty_row_reads_zero(self):
+        # tridiagonal 5 x 5 with row 2 left empty
+        triples = [(i, j, 1.0 + i + 10 * j) for i in (0, 1, 3, 4) for j in (i - 1, i, i + 1) if 0 <= j < 5]
+        A = csr_from_coo(triples, 5, 5)
+        offsets, data = diagonal_arrays(A)
+        assert offsets == [-1, 0, 1] and not data[:, 2].any()
+        x = np.arange(1.0, 6.0)
+        y = spmv(A, x)
+        assert y[2] == 0.0 and np.array_equal(y, A.to_dense() @ x)
 
 
 class TestReadOnly:
@@ -182,8 +222,8 @@ class TestReadOnly:
     def test_every_array_rejects_writes(self, dense_row):
         triples = [(i, i, 1.0) for i in range(6)] + ([(0, j, 1.0) for j in range(1, 6)] if dense_row else [])
         A = csr_from_coo(triples, 6, 6)
-        slots = [array for pair in A._ell for array in pair] if A._ell else [A._coo_rows]
-        arrays = [A.row_ptr, A.col_idx, A.values] + slots
+        diagonals = [vals for _, vals, _ in A._dia] if A._dia else [A._coo_rows]
+        arrays = [A.row_ptr, A.col_idx, A.values] + diagonals
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -415,6 +455,22 @@ def coordinate_files(draw):
     return "".join(lines), triples, n_rows, n_cols
 
 
+BAD_LINES = [
+    ("1 2\n", "expected 'row col value', got 2 tokens"),
+    ("1 2 3.0 4\n", "expected 'row col value', got 4 tokens"),
+    ("1.5 2 3.0\n", "could not parse entry"),
+    ("1 1e0 3.0\n", "could not parse entry"),
+    ("1_0 2 3.0\n", "could not parse entry"),
+    ("1 2 three\n", "could not parse entry"),
+    ("3 1 3.0\n", r"entry \(3, 1\) outside a 2x2 matrix"),
+    ("0 1 3.0\n", r"entry \(0, 1\) outside a 2x2 matrix"),
+    ("1 2 nan\n", "non-finite value 'nan'"),
+    ("1 2 -inf\n", "non-finite value '-inf'"),
+    ("1 2 1e400\n", "non-finite value '1e400'"),
+    ("1 2 3.0\r 4\n", "carriage return inside a line"),
+]
+
+
 class TestMatrixMarketBulkRead:
     @settings(deadline=None)
     @given(coordinate_files())
@@ -459,27 +515,20 @@ class TestMatrixMarketBulkRead:
             read_matrix_market(io.StringIO(BANNER + "2 2 2\n% nothing here\n\n"))
         assert excinfo.value.line_no == 2
 
-    @pytest.mark.parametrize(
-        "bad_line, match",
-        [
-            ("1 2\n", "expected 'row col value', got 2 tokens"),
-            ("1 2 3.0 4\n", "expected 'row col value', got 4 tokens"),
-            ("1.5 2 3.0\n", "could not parse entry"),
-            ("1 1e0 3.0\n", "could not parse entry"),
-            ("1_0 2 3.0\n", "could not parse entry"),
-            ("1 2 three\n", "could not parse entry"),
-            ("3 1 3.0\n", r"entry \(3, 1\) outside a 2x2 matrix"),
-            ("0 1 3.0\n", r"entry \(0, 1\) outside a 2x2 matrix"),
-            ("1 2 nan\n", "non-finite value 'nan'"),
-            ("1 2 -inf\n", "non-finite value '-inf'"),
-            ("1 2 1e400\n", "non-finite value '1e400'"),
-            ("1 2 3.0\r 4\n", "carriage return inside a line"),
-        ],
-    )
+    @pytest.mark.parametrize("bad_line, match", BAD_LINES)
     def test_bad_line_is_named(self, bad_line, match):
         text = BANNER + "2 2 2\n1 1 1.0\n% a comment block\n%\n\n" + bad_line + "2 2 2.0\n"
         with pytest.raises(MatrixMarketParseError, match=match) as excinfo:
             read_matrix_market(io.StringIO(text))
+        assert excinfo.value.line_no == 7
+
+    # a file is read with universal newlines, where a lone carriage return ends the line
+    @pytest.mark.parametrize("bad_line, match", [case for case in BAD_LINES if "\r" not in case[0]])
+    def test_bad_line_in_a_file_is_named(self, tmp_path, bad_line, match):
+        path = tmp_path / "bad.mtx"
+        path.write_text(BANNER + "2 2 2\n1 1 1.0\n% a comment block\n%\n\n" + bad_line + "2 2 2.0\n")
+        with pytest.raises(MatrixMarketParseError, match=match) as excinfo:
+            read_matrix_market(path)
         assert excinfo.value.line_no == 7
 
     def test_too_many_entries_named(self):
@@ -527,6 +576,15 @@ class TestMatrixMarketRhsEntries:
         with pytest.raises(MatrixMarketParseError, match=r"entry \(2, 2\) outside a 3x1 vector") as excinfo:
             read_matrix_market_rhs(io.StringIO(text))
         assert excinfo.value.line_no == 5
+
+    def test_coordinate_file_read_past_its_header(self, tmp_path):
+        path = tmp_path / "rhs.mtx"
+        path.write_text(BANNER + "% 1 1 9.0\n3 1 3\n2 1 1.5\n% comment\n2 1 2.0\n3 1 -1.0\n")
+        assert_allclose(read_matrix_market_rhs(path), [0.0, 3.5, -1.0], atol=0)
+        path.write_text(BANNER + "% 1 1 9.0\n3 1 2\n1 1 1.0\n% comment\n2 2 1.0\n")
+        with pytest.raises(MatrixMarketParseError, match=r"entry \(2, 2\) outside a 3x1 vector") as excinfo:
+            read_matrix_market_rhs(path)
+        assert excinfo.value.line_no == 6
 
     @pytest.mark.parametrize(
         "text",
