@@ -4,6 +4,11 @@ Everything here operates on matrices of modest order (restart dimensions,
 typically 20-40), except the reference solvers :func:`band_qr_solve`,
 O(n w**2) for a band of width w, and :func:`dense_lu_solve`, O(n**3). All
 functions are pure and safe to call concurrently on distinct data.
+
+A restart cycle solves its small least-squares problem with one LAPACK QR
+and :func:`back_substitute`. :class:`GivensChain`, :func:`givens_qr_hessenberg`
+and :func:`apply_chain` are the rotation-based route it replaced; they stay
+as the tests' reference for that solve.
 """
 
 import logging
@@ -120,21 +125,23 @@ def apply_chain(chain, v):
 def back_substitute(R, g):
     """Solve ``R[:p, :p] @ d = g`` for the leading square block of a ``(p+1, p)`` factor.
 
-    Raises :class:`SingularSystemError` when a diagonal entry is negligible
-    relative to the factor's Frobenius norm, which upstream signals a
-    rank-deficient search space.
+    Raises :class:`SingularSystemError`, naming the highest such index, when a
+    diagonal entry is negligible relative to the factor's Frobenius norm,
+    which upstream signals a rank-deficient search space. Otherwise one LAPACK
+    solve; partial pivoting never swaps rows of an upper-triangular matrix.
     """
     p = R.shape[1]
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (p,):
         raise ValueError(f"right-hand side length {g.shape} does not match order {p}")
-    tol = _SINGULAR_DIAG_TOL * float(np.linalg.norm(R))
-    d = np.zeros(p)
-    for i in range(p - 1, -1, -1):
-        if abs(R[i, i]) <= tol:
-            raise SingularSystemError(f"diagonal entry {i} of the triangular factor is negligible")
-        d[i] = (g[i] - R[i, i + 1 : p] @ d[i + 1 : p]) / R[i, i]
-    return d
+    negligible = np.flatnonzero(np.abs(np.diagonal(R)) <= _SINGULAR_DIAG_TOL * float(np.linalg.norm(R)))
+    if negligible.size:
+        raise SingularSystemError(f"diagonal entry {negligible[-1]} of the triangular factor is negligible")
+    try:
+        return np.linalg.solve(R[:p, :p], g)
+    except np.linalg.LinAlgError as exc:
+        # a zero pivot passes the test above only when a NaN makes the norm NaN
+        raise SingularSystemError(str(exc)) from None
 
 
 def _fix_signs(vectors):

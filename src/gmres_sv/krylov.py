@@ -6,8 +6,9 @@ augmentation vectors carried over from the previous cycle, ``Q`` is an
 orthonormal basis of the expanded space, and ``H`` is upper Hessenberg of
 shape ``(m+1, m)``. The projected least-squares problem
 ``min_d || beta * e_1 - H @ d ||`` then yields the residual-optimal update
-``x + W @ d``, with the residual norm available as the last entry of the
-rotated right-hand side.
+``x + W @ d``. One Householder QR of ``[H | beta * e_1]`` solves it: the
+first columns of the factor are the triangular ``R`` of ``H`` and the last
+is the rotated right-hand side, whose last entry is the residual norm.
 
 The Krylov columns of ``W`` are the leading columns of ``Q``, so ``W`` is
 never stored: a workspace keeps ``Q``, ``H`` and a reference to the ``k``
@@ -22,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (
-    SingularSystemError,
-    apply_chain,
-    back_substitute,
-    givens_qr_hessenberg,
-)
+from .kernels import SingularSystemError, back_substitute
+
+# Unused here: perfbench's tracer rebinds these names; ROADMAP item 8 removes them.
+from .kernels import apply_chain, givens_qr_hessenberg  # noqa: F401
 from .sparse import spmv
 
 __all__ = ["CycleWorkspace", "CycleResult", "arnoldi_expand", "run_cycle"]
@@ -159,7 +158,9 @@ class CycleResult:
 
     ``relres`` equals the magnitude of the last entry of ``rotated_rhs``
     divided by ``norm(b)``; no extra matrix products are spent on it.
-    ``R`` is the ``(n_cols+1, n_cols)`` triangular factor of ``H``.
+    ``R`` is the ``(n_cols+1, n_cols)`` triangular factor of ``H`` from
+    LAPACK's Householder QR, so the signs of its diagonal are LAPACK's;
+    ``R.T @ R = H.T @ H`` whatever they are.
     ``n_matvecs`` counts the sparse products consumed by the Krylov steps
     (augmentation steps reuse cached products and are free). ``W``, ``Q``
     and ``H`` read the workspace, which the next cycle of the same solve
@@ -209,8 +210,10 @@ def run_cycle(A, b, x0, aug, workspace, r0=None):
         Precomputed starting residual ``b - A @ x0``; computed here when
         omitted.
 
-    The augmented columns consume no matrix-vector products. On happy
-    breakdown the least-squares problem is solved over the truncated
+    The augmented columns consume no matrix-vector products. The
+    least-squares problem is solved by one ``numpy.linalg.qr`` of
+    ``[H | beta * e_1]`` (no orthogonal factor is formed) and one
+    triangular solve. On happy breakdown it is solved over the truncated
     system; if the truncated triangular factor is singular in its trailing
     column, that column is dropped before solving.
 
@@ -237,10 +240,11 @@ def run_cycle(A, b, x0, aug, workspace, r0=None):
             break
     p = ws.ncols
     while True:
-        chain, R = givens_qr_hessenberg(ws.H[: p + 1, :p])
-        g = np.zeros(p + 1)
-        g[0] = ws.beta
-        rotated = apply_chain(chain, g)
+        system = np.zeros((p + 1, p + 1))
+        system[:, :p] = ws.H[: p + 1, :p]
+        system[0, p] = ws.beta
+        factor = np.linalg.qr(system, mode="r")
+        R, rotated = factor[:, :p], factor[:, p]
         try:
             d = back_substitute(R, rotated[:p])
             break

@@ -118,6 +118,16 @@ class TestBackSubstitute:
         factor = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(SingularSystemError):
             back_substitute(factor, np.array([1.0, 1.0]))
+        # entries 0 and 2 are both negligible; the highest is the one named
+        factor = np.array([[0.0, 1.0, 1.0], [0.0, 3.0, 1.0], [0.0, 0.0, 1e-16], [0.0, 0.0, 0.0]])
+        with pytest.raises(SingularSystemError, match=r"^diagonal entry 2 of"):
+            back_substitute(factor, np.ones(3))
+
+    def test_zero_pivot_beside_a_nan(self):
+        # the NaN makes the norm, and so the tolerance, NaN; LAPACK still meets the zero pivot
+        factor = np.array([[np.nan, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(SingularSystemError):
+            back_substitute(factor, np.ones(2))
 
 
 class TestSymEigSmallest:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import csr_from_dense, random_csr
-from gmres_sv.kernels import back_substitute, dense_lu_solve
+from gmres_sv.kernels import apply_chain, back_substitute, dense_lu_solve, givens_qr_hessenberg
 from gmres_sv.krylov import CycleWorkspace, arnoldi_expand, run_cycle
 from gmres_sv.solvers import AugmentationSet, extract_singular_directions
 from gmres_sv.sparse import gen_laplacian_1d, identity, spmv
@@ -74,6 +76,32 @@ class TestArnoldiExpand:
         ws = started(np.ones(4), m=3)
         with pytest.raises(ValueError, match="expected expansion step"):
             arnoldi_expand(identity(4), ws, 2, np.ones(4))
+
+
+@st.composite
+def cycle_runs(draw):
+    """A random system of order 2-12, a cycle dimension ``m``, an augmentation count and a cycle count.
+
+    Orders below ``m`` end the first cycle in happy breakdown.
+    """
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, _ = random_csr(rng, n, n, density=draw(st.floats(0.1, 0.6)), shift=draw(st.floats(1.0, 6.0)))
+    m = draw(st.integers(2, 8))
+    return A, rng.standard_normal(n), m, draw(st.integers(0, m - 1)), draw(st.integers(1, 4))
+
+
+def assert_matches_rotation_route(result, x0, b):
+    """Compare a cycle's small-problem solve with the Givens kernels applied to its ``H`` and ``beta``."""
+    p, H, beta = result.n_cols, result.H, result.workspace.beta
+    chain, R = givens_qr_hessenberg(H)
+    rotated = apply_chain(chain, np.eye(p + 1)[0] * beta)
+    x_ref = x0 + result.W @ back_substitute(R, rotated[:p])
+    bnorm = np.linalg.norm(b)
+    assert np.max(np.abs(result.R.T @ result.R - R.T @ R)) <= 1e-12 * np.linalg.norm(H) ** 2
+    assert abs(abs(result.rotated_rhs[p]) - abs(rotated[p])) <= 1e-13 * beta
+    assert abs(result.relres - abs(rotated[p]) / bnorm) <= 1e-13 * beta / bnorm
+    assert np.linalg.norm(result.x_new - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
 class TestRunCycle:
@@ -176,6 +204,7 @@ class TestRunCycle:
         )
         result = run_cycle(A, b, np.zeros(4), aug, CycleWorkspace(b.size, 2))
         assert result.n_cols == 1
+        assert_matches_rotation_route(result, np.zeros(4), b)
         assert np.isfinite(result.relres)
         assert result.relres < 1.0
 
@@ -190,6 +219,22 @@ class TestRunCycle:
         b = np.ones(3)
         with pytest.raises(ValueError, match="zero"):
             run_cycle(A, b, b.copy(), None, CycleWorkspace(b.size, 2))
+
+
+class TestSmallProblemAgainstGivens:
+    @settings(deadline=None, max_examples=150)
+    @given(cycle_runs())
+    def test_each_cycle_matches_the_rotation_route(self, case):
+        A, b, m, k, cycles = case
+        ws = CycleWorkspace(b.size, m)
+        x, aug = np.zeros(b.size), None
+        for _ in range(cycles):
+            result = run_cycle(A, b, x, aug, ws)
+            assert_matches_rotation_route(result, x, b)
+            if result.relres <= 1e-10:
+                break
+            x = result.x_new
+            aug = extract_singular_directions(result, k) if k else None
 
 
 class TestWorkspaceReuse:

@@ -329,28 +329,34 @@ class TestSolveScaling:
         assert np.array_equal(seen[0], first.x_new)
 
 
+def gradings(draw, n, depths):
+    """A depth ``d`` from ``depths`` and scale factors: powers of ten graded from 1 down to ``10**-d``, or ``10**-d`` on one entry."""
+    depth = draw(st.sampled_from(depths))
+    if draw(st.booleans()):
+        return depth, 10.0 ** -(depth * np.arange(n) / (n - 1))
+    scale = np.ones(n)
+    scale[draw(st.integers(0, n - 1))] = 10.0**-depth
+    return depth, scale
+
+
 @st.composite
 def small_systems(draw):
     """A random sparse system of order 4-30, its row-scaling depth and a solver configuration.
 
-    With depth ``d > 0`` the rows are scaled by powers of ten graded from 1
-    down to ``10**-d``, or one row alone by ``10**-d``; depths 310 and 320
-    take entries below the smallest normal float.
+    The rows are scaled by a grading of depth 0, 30, 300, 310 or 320; the
+    last two take entries below the smallest normal float. The right-hand
+    side is scaled by a grading of depth 0, 30 or 300.
     """
     n = draw(st.integers(4, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     _, dense = random_csr(rng, n, n, density=draw(st.floats(0.05, 0.5)), shift=draw(st.floats(1.0, 6.0)))
-    depth = draw(st.sampled_from([0, 30, 300, 310, 320]))
-    if draw(st.booleans()):
-        scale = 10.0 ** -(depth * np.arange(n) / (n - 1))
-    else:
-        scale = np.ones(n)
-        scale[draw(st.integers(0, n - 1))] = 10.0**-depth
+    depth, scale = gradings(draw, n, [0, 30, 300, 310, 320])
+    _, rhs_scale = gradings(draw, n, [0, 30, 300])
     variant = draw(st.sampled_from(["plain", "sv", "hr"]))
     m = draw(st.integers(2, 10))
     k = 0 if variant == "plain" else draw(st.integers(1, m - 1))
     config = SolverConfig(variant, m, k, tol=1e-8, max_cycles=draw(st.integers(1, 25)))
-    return csr_from_dense(scale[:, None] * dense), rng.standard_normal(n), depth, config
+    return csr_from_dense(scale[:, None] * dense), rhs_scale * rng.standard_normal(n), depth, config
 
 
 class TestSolveProperties:
