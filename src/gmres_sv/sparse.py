@@ -1,5 +1,9 @@
 """Sparse CSR matrices, Matrix Market I/O, and built-in test-problem generators.
 
+One Matrix Market reader serves matrices and vectors: a coordinate body
+holds ``row col value`` lines, an array body one value per line, and both
+follow the same token rules, with the first bad line named in the error.
+
 All vectors and dense matrices in this package are plain ``numpy.ndarray``
 objects with float64 entries; only the sparse coefficient matrix gets a
 dedicated type.
@@ -331,58 +335,66 @@ def _read_size_line(stream, count):
 
 
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+_VALUE = np.dtype([("v", np.float64)])
 
 
-def _read_entries(stream, line_no, n_rows, n_cols, nnz, kind, path=None):
-    """Read the ``nnz`` coordinate lines that follow the size line ``line_no``.
+def _read_entries(stream, line_no, n_rows, n_cols, nnz, kind, width, path=None):
+    """Read the ``nnz`` body lines that follow the size line ``line_no``.
 
-    Returns 0-based ``(rows, cols, vals)``. One ``np.loadtxt`` pass parses the
-    body and whole-array checks validate it; only when one of them fails is
-    the body scanned again line by line to name the first bad line. Given
-    the ``path`` that ``stream`` reads, numpy reads the file itself, in C
+    A coordinate line holds ``row col value`` (``width`` 3), an array line
+    the next value of the single column (``width`` 1). Returns 0-based
+    ``(rows, cols, vals)``. One ``np.loadtxt`` pass parses the body and
+    whole-array checks validate it; only when one of them fails is the body
+    scanned again line by line to name the first bad line. Given the
+    ``path`` that ``stream`` reads, numpy reads the file itself, in C
     chunks, past the first ``line_no`` lines; a stream it iterates by line.
     """
     offset = stream.tell()
     source, skip = (stream, 0) if path is None else (path, line_no)
+    dtype = _ENTRY if width == 3 else _VALUE
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            entries = np.loadtxt(source, dtype=_ENTRY, comments="%", skiprows=skip, ndmin=1, encoding="ascii")
+            entries = np.loadtxt(source, dtype=dtype, comments="%", skiprows=skip, ndmin=1, encoding="ascii")
     except ValueError:
         pass
     else:
-        rows, cols, vals = entries["i"], entries["j"], entries["v"]
-        if entries.size == nnz and np.isfinite(vals).all() and (
-            nnz == 0 or (min(rows.min(), cols.min()) >= 1 and rows.max() <= n_rows and cols.max() <= n_cols)
-        ):
-            rows -= 1
-            cols -= 1
-            return rows, cols, vals
+        vals = entries["v"]
+        if entries.size == nnz and np.isfinite(vals).all():
+            if width == 1:
+                return np.arange(nnz), np.zeros(nnz, dtype=np.int64), vals
+            rows, cols = entries["i"], entries["j"]
+            if nnz == 0 or (min(rows.min(), cols.min()) >= 1 and rows.max() <= n_rows and cols.max() <= n_cols):
+                rows -= 1
+                cols -= 1
+                return rows, cols, vals
     stream.seek(offset)
-    raise _entry_error(stream, line_no, n_rows, n_cols, nnz, kind)
+    raise _entry_error(stream, line_no, n_rows, n_cols, nnz, kind, width)
 
 
-def _entry_error(stream, line_no, n_rows, n_cols, nnz, kind):
-    """Scan the entry lines with the bulk parse's rules; return the error for the first bad one."""
+def _entry_error(stream, line_no, n_rows, n_cols, nnz, kind, width):
+    """Scan the body lines with the bulk parse's rules; return the error for the first bad one."""
+    fields, what = ("'row col value'", "entries") if width == 3 else ("one value", "values")
     got = 0
     for line_no, tokens in _data_lines(stream, line_no):
         if got == nnz:
-            return MatrixMarketParseError(line_no, f"more than the declared {nnz} entries")
-        if len(tokens) != 3:
-            return MatrixMarketParseError(line_no, f"expected 'row col value', got {len(tokens)} tokens")
+            return MatrixMarketParseError(line_no, f"more than the declared {nnz} {what}")
+        if len(tokens) != width:
+            return MatrixMarketParseError(line_no, f"expected {fields}, got {len(tokens)} tokens")
         try:
             # np.loadtxt takes neither digit separators nor non-ASCII digits
             if any("_" in t or not t.isascii() for t in tokens):
                 raise ValueError
-            i, j, v = int(tokens[0]), int(tokens[1]), float(tokens[2])
+            i, j = (int(tokens[0]), int(tokens[1])) if width == 3 else (got + 1, 1)
+            v = float(tokens[-1])
         except ValueError:
             return MatrixMarketParseError(line_no, f"could not parse entry from {tokens!r}")
         if not (1 <= i <= n_rows and 1 <= j <= n_cols):
             return MatrixMarketParseError(line_no, f"entry ({i}, {j}) outside a {n_rows}x{n_cols} {kind}")
         if not math.isfinite(v):
-            return MatrixMarketParseError(line_no, f"non-finite value {tokens[2]!r}")
+            return MatrixMarketParseError(line_no, f"non-finite value {tokens[-1]!r}")
         got += 1
-    return MatrixMarketParseError(line_no, f"declared {nnz} entries but found {got}")
+    return MatrixMarketParseError(line_no, f"declared {nnz} {what} but found {got}")
 
 
 def _overflow_error(stream, line_no, i, j, symmetric):
@@ -406,26 +418,29 @@ def _overflow_error(stream, line_no, i, j, symmetric):
     return MatrixMarketParseError(line_no, f"entries at {key} sum past the float range")
 
 
-def read_matrix_market(source):
-    """Read a Matrix Market coordinate file into a :class:`CsrMatrix`.
+def _read(source, kind):
+    """Read a Matrix Market ``kind`` (``"matrix"`` or ``"vector"``) file.
 
-    Supports ``coordinate real`` files with ``general`` or ``symmetric``
-    qualifiers; symmetric storage is expanded to full storage by mirroring
-    off-diagonal entries. Indices are converted from 1-based to 0-based and
-    duplicate entries are summed.
+    Returns ``(n_rows, n_cols, row_ptr, cols, vals)``, the CSR arrays of
+    the entries with symmetric storage mirrored and duplicates summed.
     """
+    vector = kind == "vector"
     stream, owned = _open_source(source)
     try:
         fmt, field, symmetry = _read_banner(stream)
-        if fmt != "coordinate":
-            raise MatrixMarketFormatError(f"unsupported format '{fmt}' for a sparse matrix")
+        if fmt not in (("array", "coordinate") if vector else ("coordinate",)):
+            raise MatrixMarketFormatError(f"unsupported format '{fmt}' for a {'vector' if vector else 'sparse matrix'}")
         if field != "real":
             raise MatrixMarketFormatError(f"unsupported field '{field}'")
-        if symmetry not in ("general", "symmetric"):
-            raise MatrixMarketFormatError(f"unsupported symmetry '{symmetry}'")
-        line_no, (n_rows, n_cols, nnz) = _read_size_line(stream, 3)
+        if symmetry not in (("general",) if vector else ("general", "symmetric")):
+            raise MatrixMarketFormatError(f"unsupported symmetry '{symmetry}'" + (" for a vector" if vector else ""))
+        width = 3 if fmt == "coordinate" else 1
+        line_no, sizes = _read_size_line(stream, 3 if width == 3 else 2)
+        n_rows, n_cols, nnz = sizes if width == 3 else (*sizes, sizes[0] * sizes[1])
+        if vector and n_cols != 1:
+            raise MatrixMarketFormatError(f"expected a single column, got {n_cols}")
         offset = stream.tell()
-        rows, cols, vals = _read_entries(stream, line_no, n_rows, n_cols, nnz, "matrix", source if owned else None)
+        rows, cols, vals = _read_entries(stream, line_no, n_rows, n_cols, nnz, kind, width, source if owned else None)
         if symmetry == "symmetric":
             off = rows != cols
             rows, cols, vals = (np.concatenate([a, b[off]]) for a, b in ((rows, cols), (cols, rows), (vals, vals)))
@@ -436,56 +451,32 @@ def read_matrix_market(source):
             stream.seek(offset)
             i = int(np.searchsorted(row_ptr, k, side="right")) - 1
             raise _overflow_error(stream, line_no, i, int(cols[k]), symmetry == "symmetric")
-        return CsrMatrix(n_rows, n_cols, row_ptr, cols, vals)
+        return n_rows, n_cols, row_ptr, cols, vals
     finally:
         if owned:
             stream.close()
+
+
+def read_matrix_market(source):
+    """Read a Matrix Market coordinate file into a :class:`CsrMatrix`.
+
+    Supports ``coordinate real`` files with ``general`` or ``symmetric``
+    qualifiers; symmetric storage is expanded to full storage by mirroring
+    off-diagonal entries. Indices are converted from 1-based to 0-based,
+    duplicate entries are summed, and the body follows the same token rules
+    as :func:`read_matrix_market_rhs`'s.
+    """
+    return CsrMatrix(*_read(source, "matrix"))
 
 
 def read_matrix_market_rhs(source):
-    """Read a Matrix Market vector (array or single-column coordinate) file.
+    """Read a Matrix Market vector file: ``array`` or single-column ``coordinate``, ``real general``.
 
-    Returns a dense 1-d float array of the declared length.
+    An array body holds one value per line. The body follows the same
+    token rules as :func:`read_matrix_market`'s, and coordinate duplicates
+    are summed. Returns a dense 1-d float array of the declared length.
     """
-    stream, owned = _open_source(source)
-    try:
-        fmt, field, symmetry = _read_banner(stream)
-        if fmt not in ("array", "coordinate"):
-            raise MatrixMarketFormatError(f"unsupported format '{fmt}' for a vector")
-        if field != "real":
-            raise MatrixMarketFormatError(f"unsupported field '{field}'")
-        if symmetry != "general":
-            raise MatrixMarketFormatError(f"unsupported symmetry '{symmetry}' for a vector")
-        line_no, (n, m, *nnz) = _read_size_line(stream, 3 if fmt == "coordinate" else 2)
-        if m != 1:
-            raise MatrixMarketFormatError(f"expected a single column, got {m}")
-        if fmt == "coordinate":
-            offset = stream.tell()
-            rows, _, vals = _read_entries(stream, line_no, n, 1, nnz[0], "vector", source if owned else None)
-            data = np.zeros(n, dtype=np.float64)
-            with np.errstate(over="ignore"):
-                np.add.at(data, rows, vals)
-            bad = ~np.isfinite(data)
-            if bad.any():
-                stream.seek(offset)
-                raise _overflow_error(stream, line_no, int(np.argmax(bad)), 0, False)
-            return data
-        data = np.empty(n, dtype=np.float64)
-        got = 0
-        for line_no, tokens in _data_lines(stream, line_no):
-            for tok in tokens:
-                if got == n:
-                    raise MatrixMarketParseError(line_no, f"more than the declared {n} values")
-                try:
-                    data[got] = float(tok)
-                except ValueError:
-                    raise MatrixMarketParseError(line_no, f"could not parse value {tok!r}") from None
-                if not math.isfinite(data[got]):
-                    raise MatrixMarketParseError(line_no, f"non-finite value {tok!r}")
-                got += 1
-        if got != n:
-            raise MatrixMarketParseError(line_no, f"declared {n} values but found {got}")
-        return data
-    finally:
-        if owned:
-            stream.close()
+    n, _, row_ptr, _, vals = _read(source, "vector")
+    b = np.zeros(n)
+    b[np.diff(row_ptr) > 0] = vals
+    return b

@@ -120,6 +120,14 @@ class TestRunExperiment:
             cycles = [row["cycle"] for row in chunk]
             assert cycles == sorted(cycles)
 
+    @pytest.mark.parametrize(
+        "k, tol, message", [(5, 1e-8, r"need 0 <= k < m, got k=5, m=5"), (0, 0.0, "tolerance must be positive")]
+    )
+    def test_bad_config_fails_before_the_matrix_is_read(self, k, tol, message):
+        preset = ExperimentPreset("bad", "no/such/file.mtx", "ones", [VariantSpec("sv", m=5, k=k)], tol=tol)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(preset)
+
 
 class TestReferenceSolution:
     def count_dense_calls(self, monkeypatch):

@@ -577,12 +577,28 @@ class TestMatrixMarketRhsEntries:
             read_matrix_market_rhs(io.StringIO(text))
         assert excinfo.value.line_no == 5
 
-    def test_coordinate_file_read_past_its_header(self, tmp_path):
+    @pytest.mark.parametrize(
+        "good, bad, match",
+        [
+            (
+                BANNER + "% 1 1 9.0\n3 1 3\n2 1 1.5\n% comment\n2 1 2.0\n3 1 -1.0\n",
+                BANNER + "% 1 1 9.0\n3 1 2\n1 1 1.0\n% comment\n2 2 1.0\n",
+                r"entry \(2, 2\) outside a 3x1 vector",
+            ),
+            (
+                ARRAY_BANNER + "% 9.0\n3 1\n0.0\n% comment\n3.5\n-1.0\n",
+                ARRAY_BANNER + "% 9.0\n3 1\n1.0\n% comment\n2.0 1.0\n",
+                "expected one value, got 2 tokens",
+            ),
+        ],
+        ids=["coordinate", "array"],
+    )
+    def test_coordinate_file_read_past_its_header(self, tmp_path, good, bad, match):
         path = tmp_path / "rhs.mtx"
-        path.write_text(BANNER + "% 1 1 9.0\n3 1 3\n2 1 1.5\n% comment\n2 1 2.0\n3 1 -1.0\n")
+        path.write_text(good)
         assert_allclose(read_matrix_market_rhs(path), [0.0, 3.5, -1.0], atol=0)
-        path.write_text(BANNER + "% 1 1 9.0\n3 1 2\n1 1 1.0\n% comment\n2 2 1.0\n")
-        with pytest.raises(MatrixMarketParseError, match=r"entry \(2, 2\) outside a 3x1 vector") as excinfo:
+        path.write_text(bad)
+        with pytest.raises(MatrixMarketParseError, match=match) as excinfo:
             read_matrix_market_rhs(path)
         assert excinfo.value.line_no == 6
 
@@ -617,6 +633,49 @@ class TestMatrixMarketRhsEntries:
             read_matrix_market_rhs(io.StringIO(text))
         assert excinfo.value.line_no == 2
 
-    def test_non_seekable_coordinate_vector(self):
-        text = BANNER + "2 1 1\n% comment\n2 1 7.0\n"
+    @pytest.mark.parametrize(
+        "text", [BANNER + "2 1 1\n% comment\n2 1 7.0\n", ARRAY_BANNER + "2 1\n% comment\n0.0\n7.0\n"],
+        ids=["coordinate", "array"],
+    )
+    def test_non_seekable_coordinate_vector(self, text):
         assert_allclose(read_matrix_market_rhs(NonSeekableText(text)), [0.0, 7.0], atol=0)
+
+    def test_array_line_with_two_values_named(self):
+        text = ARRAY_BANNER + "3 1\n1.0\n2.0 3.0\n"
+        with pytest.raises(MatrixMarketParseError, match="expected one value, got 2 tokens") as excinfo:
+            read_matrix_market_rhs(io.StringIO(text))
+        assert excinfo.value.line_no == 4
+
+
+# A value token and what every body reads it as; None: an error naming its line.
+VALUE_TOKENS = [
+    ("1.5", 1.5),
+    ("-0.0", -0.0),
+    (".5", 0.5),
+    ("1.", 1.0),
+    ("+2e3", 2000.0),
+    ("1_0", None),
+    ("\u0661", None),
+    ("nan", None),
+    ("1e400", None),
+]
+
+
+@pytest.mark.parametrize("token, value", VALUE_TOKENS)
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (read_matrix_market_rhs, ARRAY_BANNER + "2 1\n% comment\n1.0\n{}\n"),
+        (read_matrix_market_rhs, BANNER + "2 1 2\n% comment\n1 1 1.0\n2 1 {}\n"),
+        (lambda f: read_matrix_market(f).to_dense().ravel(), BANNER + "2 1 2\n% comment\n1 1 1.0\n2 1 {}\n"),
+    ],
+    ids=["array", "coordinate-vector", "coordinate-matrix"],
+)
+def test_every_body_reads_a_value_token_alike(read, text, token, value):
+    source = io.StringIO(text.format(token))
+    if value is None:
+        with pytest.raises(MatrixMarketParseError) as excinfo:
+            read(source)
+        assert excinfo.value.line_no == 5
+    else:
+        assert read(source).tobytes() == np.array([1.0, value]).tobytes()
