@@ -6,22 +6,16 @@ O(n w**2) for a band of width w, and :func:`dense_lu_solve`, O(n**3). All
 functions are pure and safe to call concurrently on distinct data.
 
 A restart cycle solves its small least-squares problem with one LAPACK QR
-and :func:`back_substitute`. :class:`GivensChain`, :func:`givens_qr_hessenberg`
-and :func:`apply_chain` are the rotation-based route it replaced; they stay
-as the tests' reference for that solve.
+and :func:`back_substitute`.
 """
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "GivensChain",
     "SingularSystemError",
     "PencilConditionError",
-    "givens_qr_hessenberg",
-    "apply_chain",
     "back_substitute",
     "sym_eig_smallest",
     "gen_eig_largest_magnitude",
@@ -53,73 +47,6 @@ class PencilConditionError(RuntimeError):
     Callers treat this as a skip signal and fall back to an unaugmented
     cycle rather than aborting the solve.
     """
-
-
-@dataclass
-class GivensChain:
-    """An ordered sequence of plane rotations acting on vectors of a fixed length.
-
-    Each rotation is a ``(plane, c, s)`` triple mixing components ``plane``
-    and ``plane + 1``; ``c**2 + s**2 == 1`` up to roundoff.
-    """
-
-    rotations: list = field(default_factory=list)
-    size: int = 0
-
-
-def givens_qr_hessenberg(H):
-    """QR-factor an upper Hessenberg matrix with plane rotations.
-
-    Parameters
-    ----------
-    H : (p+1, p) array
-        Upper Hessenberg: zero below the first subdiagonal.
-
-    Returns
-    -------
-    chain : GivensChain
-        Rotations such that applying them in order to ``H`` yields ``R``.
-    R : (p+1, p) array
-        The triangular factor with a nonnegative diagonal; its last row is
-        zero.
-
-    A zero column pivot produces the identity rotation ``(c, s) = (1, 0)``.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    if H.ndim != 2 or H.shape[0] != H.shape[1] + 1:
-        raise ValueError(f"expected a (p+1) x p matrix, got {H.shape}")
-    p = H.shape[1]
-    if p > 1 and np.any(np.tril(H, -2) != 0.0):
-        raise ValueError("matrix has nonzeros below the first subdiagonal")
-    R = H.copy()
-    chain = GivensChain(rotations=[], size=p + 1)
-    for j in range(p):
-        a = R[j, j]
-        b = R[j + 1, j]
-        r = float(np.hypot(a, b))
-        if r == 0.0:
-            c, s = 1.0, 0.0
-        else:
-            c, s = a / r, b / r
-        upper = c * R[j, j:] + s * R[j + 1, j:]
-        R[j + 1, j:] = -s * R[j, j:] + c * R[j + 1, j:]
-        R[j, j:] = upper
-        R[j + 1, j] = 0.0
-        chain.rotations.append((j, c, s))
-    return chain, R
-
-
-def apply_chain(chain, v):
-    """Apply a rotation chain to a vector, preserving its norm."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (chain.size,):
-        raise ValueError(f"vector length {v.shape} does not match chain size {chain.size}")
-    out = v.copy()
-    for j, c, s in chain.rotations:
-        a, b = out[j], out[j + 1]
-        out[j] = c * a + s * b
-        out[j + 1] = -s * a + c * b
-    return out
 
 
 def back_substitute(R, g):
@@ -174,8 +101,7 @@ def sym_eig_smallest(G, k):
     if np.linalg.norm(G - G.T) > 1e-12 * max(fro, 1e-300):
         raise ValueError("matrix is not symmetric to working accuracy")
     values, vectors = np.linalg.eigh(0.5 * (G + G.T))
-    order = np.argsort(values, kind="stable")[:k]
-    return values[order], _fix_signs(vectors[:, order])
+    return values[:k], _fix_signs(vectors[:, :k])
 
 
 def gen_eig_largest_magnitude(G, F, k):

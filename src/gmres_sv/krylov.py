@@ -19,15 +19,16 @@ Workspaces are confined to a single solve and are not thread safe; the
 sparse matrix they reference may be shared.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import SingularSystemError, back_substitute
-
-# Unused here: perfbench's tracer rebinds these names; ROADMAP item 8 removes them.
-from .kernels import apply_chain, givens_qr_hessenberg  # noqa: F401
 from .sparse import spmv
+
+# Placeholders for the deleted Givens kernels, which perfbench's tracer rebinds; ROADMAP item 8 removes them.
+apply_chain = givens_qr_hessenberg = None
 
 __all__ = ["CycleWorkspace", "CycleResult", "arnoldi_expand", "run_cycle"]
 
@@ -77,7 +78,7 @@ class CycleWorkspace:
             raise ValueError("vector length does not match the workspace")
         if not 0 <= Y.shape[1] < self.m:
             raise ValueError(f"need 0 <= k < m, got k={Y.shape[1]}, m={self.m}")
-        beta = float(np.linalg.norm(r0))
+        beta = math.sqrt(r0.dot(r0))
         if beta == 0.0:
             raise ValueError("starting residual is zero; nothing to solve")
         self.Y = Y
@@ -132,14 +133,14 @@ def arnoldi_expand(A, workspace, j, direction):
     direction = np.asarray(direction, dtype=np.float64)
     if direction.shape != (A.n_rows,):
         raise ValueError("direction length does not match the matrix")
-    scale = float(np.linalg.norm(direction))
+    scale = math.sqrt(direction.dot(direction))
     basis = ws.Q[:, : j + 1]
     coeffs = basis.T @ direction
     v = direction - basis @ coeffs
     extra = basis.T @ v
     v -= basis @ extra
     coeffs += extra
-    remainder = float(np.linalg.norm(v))
+    remainder = math.sqrt(v.dot(v))
     ws.H[: j + 1, j] = coeffs
     ws.H[j + 1, j] = remainder
     ws.ncols = j + 1

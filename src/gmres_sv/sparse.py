@@ -282,9 +282,14 @@ def gen_bidiagonal(n, superdiag):
 
 
 def _open_source(source):
-    """The stream to read and whether to close it; a non-seekable one is copied, for the error scans."""
+    """The stream to read and whether to close it; a non-seekable one is copied, for the error scans.
+
+    A path is decoded as Latin-1, in which every byte decodes, so a non-ASCII
+    byte reaches the token checks, which name its line, unless it sits in a
+    comment.
+    """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        return open(source, "r", encoding="ascii"), True
+        return open(source, "r", encoding="latin-1"), True
     if not source.seekable():
         source = io.StringIO(source.read())
     return source, False
@@ -307,13 +312,17 @@ def _data_lines(lines, line_no):
     """Yield (line_no, tokens) for the lines holding data, numbering from ``line_no + 1``.
 
     Text after ``%`` is a comment. A carriage return is allowed only at the
-    end of a line, as ``np.loadtxt`` allows it.
+    end of a line, as ``np.loadtxt`` allows it. Tokens split at whitespace,
+    Unicode's included, as ``np.loadtxt`` splits them, and a token must be
+    ASCII.
     """
     for line_no, line in enumerate(lines, start=line_no + 1):
         body = line.removesuffix("\n").removesuffix("\r").split("%", 1)[0]
         if "\r" in body:
             raise MatrixMarketParseError(line_no, "carriage return inside a line")
         tokens = body.split()
+        if not all(t.isascii() for t in tokens):
+            raise MatrixMarketParseError(line_no, "non-ASCII character in a token")
         if tokens:
             yield line_no, tokens
 
@@ -326,6 +335,9 @@ def _read_size_line(stream, count):
     if len(tokens) != count:
         raise MatrixMarketParseError(line_no, f"expected {count} integers, got {len(tokens)} tokens")
     try:
+        # int() takes digit separators; the body rules do not
+        if any("_" in t for t in tokens):
+            raise ValueError
         sizes = [int(t) for t in tokens]
     except ValueError:
         raise MatrixMarketParseError(line_no, f"could not parse integers from {tokens!r}") from None
@@ -355,7 +367,7 @@ def _read_entries(stream, line_no, n_rows, n_cols, nnz, kind, width, path=None):
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            entries = np.loadtxt(source, dtype=dtype, comments="%", skiprows=skip, ndmin=1, encoding="ascii")
+            entries = np.loadtxt(source, dtype=dtype, comments="%", skiprows=skip, ndmin=1, encoding="latin-1")
     except ValueError:
         pass
     else:
@@ -382,8 +394,8 @@ def _entry_error(stream, line_no, n_rows, n_cols, nnz, kind, width):
         if len(tokens) != width:
             return MatrixMarketParseError(line_no, f"expected {fields}, got {len(tokens)} tokens")
         try:
-            # np.loadtxt takes neither digit separators nor non-ASCII digits
-            if any("_" in t or not t.isascii() for t in tokens):
+            # np.loadtxt takes no digit separators
+            if any("_" in t for t in tokens):
                 raise ValueError
             i, j = (int(tokens[0]), int(tokens[1])) if width == 3 else (got + 1, 1)
             v = float(tokens[-1])

@@ -9,99 +9,14 @@ from gmres_sv.kernels import (
     PencilConditionError,
     SingularSystemError,
     _fix_signs,
-    apply_chain,
     back_substitute,
     band_qr_solve,
     bandwidths,
     dense_lu_solve,
     gen_eig_largest_magnitude,
-    givens_qr_hessenberg,
     sym_eig_smallest,
 )
 from gmres_sv.sparse import csr_from_coo, gen_laplacian_1d
-
-
-def random_hessenberg(rng, p):
-    return np.triu(rng.standard_normal((p + 1, p)), -1)
-
-
-def signs_normalized(R):
-    """Flip rows so the diagonal is nonnegative (QR sign gauge)."""
-    R = R.copy()
-    for i in range(R.shape[1]):
-        if R[i, i] < 0:
-            R[i, :] = -R[i, :]
-    return R
-
-
-class TestGivensQr:
-    def test_three_four_five(self):
-        chain, factor = givens_qr_hessenberg(np.array([[3.0], [4.0]]))
-        assert_allclose(factor, [[5.0], [0.0]], atol=0)
-        assert chain.rotations == [(0, 0.6, 0.8)]
-
-    def test_zero_column_identity_rotation(self):
-        chain, factor = givens_qr_hessenberg(np.zeros((2, 1)))
-        assert_allclose(factor, np.zeros((2, 1)), atol=0)
-        assert chain.rotations == [(0, 1.0, 0.0)]
-
-    def test_against_householder_oracle(self):
-        rng = np.random.default_rng(21)
-        H = random_hessenberg(rng, 20)
-        _, factor = givens_qr_hessenberg(H)
-        R_oracle = np.linalg.qr(H, mode="r")
-        diff = signs_normalized(factor[:20]) - signs_normalized(R_oracle[:20])
-        assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(H)
-
-    def test_chain_maps_input_to_factor(self):
-        rng = np.random.default_rng(4)
-        for p in (1, 2, 5, 12):
-            H = random_hessenberg(rng, p)
-            chain, factor = givens_qr_hessenberg(H)
-            rotated = np.column_stack([apply_chain(chain, H[:, j]) for j in range(p)])
-            assert np.linalg.norm(rotated - factor) <= 1e-13 * np.linalg.norm(H)
-
-    def test_rotations_are_unit(self):
-        rng = np.random.default_rng(9)
-        chain, _ = givens_qr_hessenberg(random_hessenberg(rng, 8))
-        for _, c, s in chain.rotations:
-            assert abs(c * c + s * s - 1.0) <= 1e-14
-
-    def test_rejects_non_hessenberg(self):
-        M = np.ones((4, 3))
-        with pytest.raises(ValueError, match="subdiagonal"):
-            givens_qr_hessenberg(M)
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError, match="expected"):
-            givens_qr_hessenberg(np.ones((3, 3)))
-
-
-class TestApplyChain:
-    def test_empty_chain_is_identity(self):
-        from gmres_sv.kernels import GivensChain
-
-        v = np.array([1.0, -2.0, 3.0])
-        out = apply_chain(GivensChain(rotations=[], size=3), v)
-        assert_allclose(out, v, atol=0)
-
-    def test_three_four_five_vector(self):
-        chain, _ = givens_qr_hessenberg(np.array([[3.0], [4.0]]))
-        assert_allclose(apply_chain(chain, np.array([3.0, 4.0])), [5.0, 0.0], atol=1e-15)
-
-    def test_norm_preservation(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            p = int(rng.integers(1, 10))
-            chain, _ = givens_qr_hessenberg(random_hessenberg(rng, p))
-            v = rng.standard_normal(p + 1)
-            out = apply_chain(chain, v)
-            assert abs(np.linalg.norm(out) - np.linalg.norm(v)) <= 1e-13 * np.linalg.norm(v)
-
-    def test_length_mismatch(self):
-        chain, _ = givens_qr_hessenberg(np.array([[3.0], [4.0]]))
-        with pytest.raises(ValueError, match="length"):
-            apply_chain(chain, np.ones(5))
 
 
 class TestBackSubstitute:
@@ -145,8 +60,7 @@ class TestSymEigSmallest:
     def test_gram_matrix_matches_svd_oracle(self):
         rng = np.random.default_rng(2)
         H = np.triu(rng.standard_normal((21, 20)), -1)
-        _, factor = givens_qr_hessenberg(H)
-        R = factor[:20]
+        R = np.linalg.qr(H, mode="r")
         G = R.T @ R
         values, _ = sym_eig_smallest(G, 20)
         oracle = np.sort(np.linalg.svd(H, compute_uv=False) ** 2)

@@ -679,3 +679,91 @@ def test_every_body_reads_a_value_token_alike(read, text, token, value):
         assert excinfo.value.line_no == 5
     else:
         assert read(source).tobytes() == np.array([1.0, value]).tobytes()
+
+
+def read_outcome(read, source):
+    """What a reader gives for ``source``: its result's bytes, or a parse error's line and text."""
+    try:
+        return "read", read(source).tobytes()
+    except MatrixMarketParseError as exc:
+        return exc.line_no, str(exc)
+
+
+def dense_matrix(source):
+    return read_matrix_market(source).to_dense()
+
+
+class TestNonAsciiBytes:
+    @pytest.mark.parametrize("from_path", [True, False], ids=["path", "stream"])
+    @pytest.mark.parametrize(
+        "read, text, line_no",
+        [
+            (read_matrix_market_rhs, ARRAY_BANNER + "3 1\n1.0\n% comment\n٣.5\n2.0\n", 5),
+            (dense_matrix, BANNER + "2 2 2\n1 1 1.0\n% comment\n2 2 ٣.5\n", 5),
+            (dense_matrix, BANNER + "2 2 2\n1 1 1.0\n% comment\n٢ 2 3.5\n", 5),
+            (read_matrix_market_rhs, ARRAY_BANNER + "٣ 1\n1.0\n2.0\n3.0\n", 2),
+        ],
+        ids=["array-value", "coordinate-value", "coordinate-index", "size-line"],
+    )
+    def test_non_ascii_digit_names_its_line(self, tmp_path, from_path, read, text, line_no):
+        path = tmp_path / "digit.mtx"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MatrixMarketParseError, match="non-ASCII character in a token") as excinfo:
+            read(path if from_path else io.StringIO(text))
+        assert excinfo.value.line_no == line_no
+
+    @pytest.mark.parametrize("from_path", [True, False], ids=["path", "stream"])
+    def test_non_ascii_comment_is_accepted(self, tmp_path, from_path):
+        text = BANNER.replace("general", "general % café") + "% ٣\n2 2 2\n1 1 1.0 % é\n% ﻿\n2 2 2.0\n"
+        path = tmp_path / "comment.mtx"
+        path.write_text(text, encoding="utf-8")
+        assert_allclose(dense_matrix(path if from_path else io.StringIO(text)), np.diag([1.0, 2.0]), atol=0)
+
+    def test_digit_separator_in_the_size_line_named(self):
+        with pytest.raises(MatrixMarketParseError, match="could not parse integers") as excinfo:
+            read_matrix_market_rhs(io.StringIO(ARRAY_BANNER + "1_0 1\n"))
+        assert excinfo.value.line_no == 2
+
+
+FAULTS = ["non-ASCII digit", "non-ASCII comment", "extra token", "index 1e0", "digit separator", "missing line"]
+
+
+@st.composite
+def faulty_files(draw):
+    """A small coordinate-matrix or array-vector text with one fault drawn from ``FAULTS``, and its reader."""
+    n = draw(st.integers(1, 4))
+    value = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+    if draw(st.booleans()):
+        read, lines = read_matrix_market_rhs, [ARRAY_BANNER, f"{n} 1"] + [draw(value) for _ in range(n)]
+    else:
+        entries = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n), value), min_size=1, max_size=6))
+        read, lines = dense_matrix, [BANNER, f"{n} {n} {len(entries)}"] + [f"{i} {j} {v}" for i, j, v in entries]
+    at = draw(st.integers(2, len(lines) - 1))
+    tokens = lines[at].split()
+    which = draw(st.integers(0, len(tokens) - 1))
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "non-ASCII digit":
+        pos = draw(st.integers(0, len(tokens[which]) - 1))
+        digit = draw(st.sampled_from("١٣१１"))
+        tokens[which] = tokens[which][:pos] + digit + tokens[which][pos + 1 :]
+    elif fault == "extra token":
+        tokens.append("1")
+    elif fault == "index 1e0":
+        tokens[min(which, 1)] = "1e0"
+    elif fault == "digit separator":
+        tokens[which] = "1_0"
+    lines[at] = " ".join(tokens)
+    if fault == "non-ASCII comment":
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["% café", "%٣", "% ﻿"])))
+    elif fault == "missing line":
+        del lines[at]
+    return lines[0] + "\n".join(lines[1:]) + "\n", read
+
+
+@settings(deadline=None)
+@given(faulty_files())
+def test_path_and_stream_agree_on_a_faulty_file(tmp_path_factory, case):
+    text, read = case
+    path = tmp_path_factory.getbasetemp() / "faulty.mtx"
+    path.write_text(text, encoding="utf-8")
+    assert read_outcome(read, path) == read_outcome(read, io.StringIO(text))
