@@ -230,11 +230,9 @@ def run_cycle(A, b, x0, aug, workspace, r0=None):
     m = ws.m
     ws.restart(r0, None if aug is None else aug.Y)
     k = ws.k
-    n_matvecs = 0
     for j in range(m):
         if j < m - k:
             direction = spmv(A, ws.Q[:, j])
-            n_matvecs += 1
         else:
             direction = aug.AY[:, j - (m - k)]
         if arnoldi_expand(A, ws, j, direction):
@@ -264,6 +262,6 @@ def run_cycle(A, b, x0, aug, workspace, r0=None):
         workspace=ws,
         R=R,
         rotated_rhs=rotated,
-        n_matvecs=n_matvecs,
+        n_matvecs=min(ws.ncols, m - k),
         n_cols=p,
     )

@@ -232,8 +232,9 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
         residual rather than an exception.
         A stagnation guard stops the loop after 10 consecutive cycles with
         relative residual improvement below 1e-14. A starting residual too
-        large to measure against ``b`` ends the solve at once with
-        ``final_relres=inf``.
+        large to measure against ``b`` runs no cycle and reports
+        ``final_relres=inf``. When no cycle completes, ``x`` is ``x0``,
+        unchanged; a zero ``b`` returns the zero vector.
 
     When the largest entry of ``b`` lies outside ``[2**-400, 2**400]``, the
     loop solves for ``b * 2**-e`` and ``x0 * 2**-e``, with ``e`` the
@@ -258,6 +259,8 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n_rows,):
         raise ValueError("right-hand side length does not match the matrix")
+    if x0 is not None and np.shape(x0) != (A.n_rows,):
+        raise ValueError("starting iterate length does not match the matrix")
     if x_ref is not None and np.shape(x_ref) != (A.n_rows,):
         raise ValueError("reference solution length does not match the matrix")
     start = np.zeros(A.n_rows) if x0 is None else np.asarray(x0, dtype=np.float64)
@@ -272,14 +275,14 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     # np.ldexp shifts each entry's exponent: no scale factor that could
     # itself under- or overflow is formed
     b = np.ldexp(b, -exponent)
-    x = np.ldexp(start, -exponent)
     bnorm = float(np.linalg.norm(b))
 
-    def err(vec):
+    def err(vec, shift):
+        """The error norm of ``vec * 2**shift``; ``None`` without a reference."""
         if x_ref is None:
             return None
         with np.errstate(over="ignore"):
-            diff = np.ldexp(vec, exponent) - x_ref
+            diff = np.ldexp(vec, shift) - x_ref
             norm = float(np.linalg.norm(diff))
             if math.isinf(norm):
                 # the squares overflow; rescale by the largest entry
@@ -290,25 +293,23 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
 
     if bnorm == 0.0:
         x = np.zeros(A.n_rows)
-        return SolveReport(x=x, converged=True, record=record, final_relres=0.0, final_error_norm=err(x))
-    r = b - spmv(A, x)
-    true_mvp = 1
-    paper_mvp = 0
-    with np.errstate(over="ignore"):
+        return SolveReport(x=x, converged=True, record=record, final_relres=0.0, final_error_norm=err(x, 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.ldexp(start, -exponent)
+        r = b - spmv(A, x)
         relres = float(np.linalg.norm(r)) / bnorm
-    if relres <= config.tol or not math.isfinite(relres):
+    if not math.isfinite(relres):
         # A starting residual whose size relative to b overflows would only
         # carry infinities through the cycles; report it unconverged.
-        relres = relres if relres <= config.tol else math.inf
-        return SolveReport(
-            x=start.copy(), converged=relres <= config.tol, record=record, final_relres=relres, final_error_norm=err(x)
-        )
-
+        relres = math.inf
+    true_mvp = 1
+    paper_mvp = 0
     workspace = CycleWorkspace(A.n_rows, config.m)
     aug = None
     prev_relres = final_relres = relres
     stagnant = 0
-    for cycle in range(1, config.max_cycles + 1):
+    # a start that meets tol or cannot be measured runs no cycle
+    for cycle in range(1, config.max_cycles + 1 if config.tol < relres < math.inf else 1):
         try:
             # a pivot too small for the float range overflows here; the
             # finiteness test below reports it
@@ -330,7 +331,7 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
             CycleEntry(
                 cycle=cycle,
                 relres=result.relres,
-                error_norm=err(x),
+                error_norm=err(x, exponent),
                 paper_mvp=paper_mvp,
                 true_mvp=true_mvp,
             )
@@ -349,18 +350,14 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
         if stagnant >= _STAGNATION_CYCLES:
             logger.info("stopping after %d stagnant cycles", stagnant)
             break
-        if config.variant != "plain" and config.k > 0 and cycle < config.max_cycles:
-            if config.variant == "sv":
-                aug = extract_singular_directions(result, config.k)
-            else:
-                aug = extract_harmonic_directions(result, config.k)
-            if aug.size == 0:
-                aug = None
-    final_err = record[-1].error_norm if record else err(x)
+        if config.k > 0 and cycle < config.max_cycles:
+            extract = extract_singular_directions if config.variant == "sv" else extract_harmonic_directions
+            aug = extract(result, config.k)
+    x = np.ldexp(x, exponent) if record else start.copy()
     return SolveReport(
-        x=np.ldexp(x, exponent),
+        x=x,
         converged=final_relres <= config.tol,
         record=record,
         final_relres=final_relres,
-        final_error_norm=final_err,
+        final_error_norm=err(x, 0),
     )

@@ -284,12 +284,12 @@ def gen_bidiagonal(n, superdiag):
 def _open_source(source):
     """The stream to read and whether to close it; a non-seekable one is copied, for the error scans.
 
-    A path is decoded as Latin-1, in which every byte decodes, so a non-ASCII
-    byte reaches the token checks, which name its line, unless it sits in a
-    comment.
+    A path is decoded as UTF-8, as a text stream usually is, and a byte that
+    is not UTF-8 is escaped to a lone surrogate, so it reaches the token
+    checks, which name its line, unless it sits in a comment.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        return open(source, "r", encoding="latin-1"), True
+        return open(source, "r", encoding="utf-8", errors="surrogateescape"), True
     if not source.seekable():
         source = io.StringIO(source.read())
     return source, False
@@ -367,7 +367,12 @@ def _read_entries(stream, line_no, n_rows, n_cols, nnz, kind, width, path=None):
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            entries = np.loadtxt(source, dtype=dtype, comments="%", skiprows=skip, ndmin=1, encoding="latin-1")
+            try:
+                entries = np.loadtxt(source, dtype=dtype, comments="%", skiprows=skip, ndmin=1, encoding="utf-8")
+            except UnicodeDecodeError:
+                # numpy decodes the path strictly; the stream escapes the byte
+                stream.seek(offset)
+                entries = np.loadtxt(stream, dtype=dtype, comments="%", ndmin=1)
     except ValueError:
         pass
     else:

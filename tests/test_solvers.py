@@ -291,8 +291,7 @@ class TestSolveScaling:
     @pytest.mark.parametrize("b_scale, x_scale", [(1e-300, 1e10), (1.0, 1e300)])
     def test_unmeasurable_starting_residual_is_reported(self, b_scale, x_scale):
         A = gen_laplacian_1d(50)
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = solve(A, b_scale * np.ones(50), x_scale * np.ones(50), SolverConfig("sv", 10, 2))
+        report = solve(A, b_scale * np.ones(50), x_scale * np.ones(50), SolverConfig("sv", 10, 2))
         assert not report.converged
         assert report.final_relres == np.inf
         assert len(report.record) == 0
@@ -341,11 +340,13 @@ def gradings(draw, n, depths):
 
 @st.composite
 def small_systems(draw):
-    """A random sparse system of order 4-30, its row-scaling depth and a solver configuration.
+    """A random sparse system of order 4-30, a starting iterate, the row-scaling depth and a solver configuration.
 
     The rows are scaled by a grading of depth 0, 30, 300, 310 or 320; the
     last two take entries below the smallest normal float. The right-hand
-    side is scaled by a grading of depth 0, 30 or 300.
+    side is scaled by a grading of depth 0, 30 or 300. The starting iterate
+    is ``None``, the dense solution when it is finite, or a random vector
+    of scale 1 or 1e300.
     """
     n = draw(st.integers(4, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -356,7 +357,14 @@ def small_systems(draw):
     m = draw(st.integers(2, 10))
     k = 0 if variant == "plain" else draw(st.integers(1, m - 1))
     config = SolverConfig(variant, m, k, tol=1e-8, max_cycles=draw(st.integers(1, 25)))
-    return csr_from_dense(scale[:, None] * dense), rhs_scale * rng.standard_normal(n), depth, config
+    dense = scale[:, None] * dense
+    b = rhs_scale * rng.standard_normal(n)
+    starts = [None, rng.standard_normal(n), 1e300 * rng.standard_normal(n)]
+    with np.errstate(all="ignore"):
+        solution = np.linalg.solve(dense, b)
+    if np.all(np.isfinite(solution)):
+        starts.append(solution)
+    return csr_from_dense(dense), b, draw(st.sampled_from(starts)), depth, config
 
 
 class TestSolveProperties:
@@ -364,17 +372,22 @@ class TestSolveProperties:
     @given(small_systems())
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_report_invariants(self, case):
-        A, b, depth, config = case
-        report = solve(A, b, None, config)
+        A, b, x0, depth, config = case
+        report = solve(A, b, x0, config)
+        if not report.record:
+            assert report.x.tobytes() == (np.zeros(b.size) if x0 is None else x0).tobytes()
         assert np.all(np.isfinite(report.x))
-        recomputed = np.linalg.norm(b - spmv(A, report.x)) / np.linalg.norm(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            recomputed = np.linalg.norm(b - spmv(A, report.x)) / np.linalg.norm(b)
         assert report.converged == (report.final_relres <= config.tol)
         if report.converged:
             assert abs(report.final_relres - recomputed) <= 1e-8
         if report.record:
             last = report.record[-1]
             assert last.true_mvp == last.paper_mvp + last.cycle + 1
-        if depth == 0:
+        # the depth-0 checks need the start's rounding error, about
+        # eps * norm(A) * norm(x0), to stay far below norm(b)
+        if depth == 0 and (x0 is None or np.max(np.abs(x0)) < 1e100):
             relres = [e.relres for e in report.record]
             # d = 0 is feasible in every cycle, so the residual cannot grow
             assert all(later <= earlier * (1 + 1e-10) + 1e-15 for earlier, later in zip(relres, relres[1:]))
@@ -410,6 +423,13 @@ class TestSolveBadInput:
         # (50, 1) would broadcast x - x_ref to 50 x 50 and (1,) to 50 entries
         with pytest.raises(ValueError, match="reference solution"):
             solve(gen_laplacian_1d(50), np.ones(50), None, SolverConfig("sv", 10, 2), x_ref=np.ones(shape))
+
+    @pytest.mark.parametrize("rhs", [0.0, 1.0])
+    @pytest.mark.parametrize("shape", [(7,), (5, 1), ()])
+    def test_misshaped_starting_iterate_rejected(self, shape, rhs):
+        # the zero-rhs exit must not return before the shape is checked
+        with pytest.raises(ValueError, match="starting iterate length"):
+            solve(gen_laplacian_1d(5), rhs * np.ones(5), np.ones(shape), SolverConfig("plain", 2))
 
     @pytest.mark.parametrize("variant,k", [("sv", 1), ("hr", 1), ("plain", 0)])
     def test_singular_system_reported_not_raised(self, variant, k):

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -719,13 +720,47 @@ class TestNonAsciiBytes:
         path.write_text(text, encoding="utf-8")
         assert_allclose(dense_matrix(path if from_path else io.StringIO(text)), np.diag([1.0, 2.0]), atol=0)
 
+    @pytest.mark.parametrize("from_path", [True, False], ids=["path", "stream"])
+    @pytest.mark.parametrize(
+        "raw, error",
+        [
+            (BANNER.encode() + b"2 2 2\n1\xc2\xa01 1.0\n2 2 2.0\n", None),
+            (
+                "%%MatrixMarket matrix coördinate real general\n".encode(),
+                "unsupported format 'coördinate' for a sparse matrix",
+            ),
+            (BANNER.encode() + b"% caf\xe9\n2 2 2\n1 1 1.0\n2 2 2.0\n", None),
+            (BANNER.encode() + b"2 2 2\n1 1 1.0\n2 2 2.\xf60\n", "line 4: non-ASCII character in a token"),
+            (BANNER.encode() + b"2 2 2\xf6\n1 1 1.0\n2 2 2.0\n", "line 2: non-ASCII character in a token"),
+        ],
+        ids=["utf8-no-break-space", "utf8-banner", "latin1-comment", "latin1-value", "latin1-size-line"],
+    )
+    def test_path_decodes_as_its_utf8_stream(self, tmp_path, from_path, raw, error):
+        # a byte that is not UTF-8 reaches the reader as an escaped surrogate
+        path = tmp_path / "encoded.mtx"
+        path.write_bytes(raw)
+        source = path if from_path else io.StringIO(raw.decode("utf-8", "surrogateescape"))
+        if error is None:
+            assert_allclose(dense_matrix(source), np.diag([1.0, 2.0]), atol=0)
+        else:
+            with pytest.raises((MatrixMarketParseError, MatrixMarketFormatError), match=f"^{re.escape(error)}$"):
+                dense_matrix(source)
+
     def test_digit_separator_in_the_size_line_named(self):
         with pytest.raises(MatrixMarketParseError, match="could not parse integers") as excinfo:
             read_matrix_market_rhs(io.StringIO(ARRAY_BANNER + "1_0 1\n"))
         assert excinfo.value.line_no == 2
 
 
-FAULTS = ["non-ASCII digit", "non-ASCII comment", "extra token", "index 1e0", "digit separator", "missing line"]
+FAULTS = [
+    "non-ASCII digit",
+    "non-ASCII comment",
+    "non-ASCII space",
+    "extra token",
+    "index 1e0",
+    "digit separator",
+    "missing line",
+]
 
 
 @st.composite
@@ -746,6 +781,8 @@ def faulty_files(draw):
         pos = draw(st.integers(0, len(tokens[which]) - 1))
         digit = draw(st.sampled_from("١٣१１"))
         tokens[which] = tokens[which][:pos] + digit + tokens[which][pos + 1 :]
+    elif fault == "non-ASCII space":
+        tokens[which] = "\u00a0" + tokens[which]
     elif fault == "extra token":
         tokens.append("1")
     elif fault == "index 1e0":
