@@ -5,10 +5,12 @@ along a right singular direction by the residual-minimizing amount also
 minimizes the error norm, first for directions of the full operator, then
 for directions extracted from a subspace, with an explicit formula for the
 error-reduction gap when the subspace does not contain the whole error.
-Each suite below draws random dense instances, evaluates both sides of one
-identity with an SVD as the brute-force oracle, and reports the worst
-relative deviation. Deviations are measured relative to the error-vector
-norm (its square for the gap formula), the natural scale of both sides.
+The exact-direction suite is the subspace case with ``V = I``, so all
+three draw random dense instances from one trial generator. Each suite
+evaluates both sides of one identity with an SVD as the brute-force
+oracle, and reports the worst relative deviation. Deviations are measured
+relative to the error-vector norm (its square for the gap formula), the
+natural scale of both sides.
 """
 
 import numpy as np
@@ -49,29 +51,49 @@ def _pick_index(rng, svals, floor):
     return int(valid[rng.integers(valid.size)])
 
 
+def _trials(seed, n, trials, floor, subspace=True, in_range=False):
+    """Random instances of the suites, drawn in the order each suite has fixed.
+
+    A trial draws a dense ``A``, an orthonormal ``V`` of random width (``I``
+    when not ``subspace``), ``x`` and ``x0``, whose error ``e = x - x0`` is
+    ``V @ y`` when ``in_range`` and free otherwise. It picks a right singular
+    pair ``(sigma, z)`` of ``A @ V`` above ``floor * sigma_max`` and yields
+    ``(A, sigma, u, e, a_res, a_err)``: the direction ``u = V @ z`` and the
+    residual- and error-minimizing steps from ``x0`` along it.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        m = int(rng.integers(1, n + 1)) if subspace else n
+        A = rng.standard_normal((n, n))
+        V = np.linalg.qr(rng.standard_normal((n, m)))[0] if subspace else np.eye(n)
+        y = rng.standard_normal(m) if in_range else None
+        x = rng.standard_normal(n)
+        x0 = x - V @ y if in_range else rng.standard_normal(n)
+        AV = A @ V
+        _, svals, Vt = np.linalg.svd(AV)
+        idx = _pick_index(rng, svals, floor)
+        z = Vt[idx]
+        u = V @ z
+        e = x - x0
+        yield A, svals[idx], u, e, residual_minimizing_step(A @ x - A @ x0, AV @ z), error_minimizing_step(e, u)
+
+
+def _worst_step_gap(trials):
+    """Largest ``|a_res - a_err| / norm(e)`` over the trials."""
+    gaps = (abs(a_res - a_err) / max(float(np.linalg.norm(e)), _TINY) for *_, e, a_res, a_err in trials)
+    return max(gaps, default=0.0)
+
+
 def run_direction_identity_suite(seed=0, n=30, trials=200):
     """Worst relative gap between the two step lengths for exact directions.
 
     For a right singular vector ``z`` of a dense random ``A``, the
     residual-minimizing step from ``x0`` along ``z`` equals the
-    error-minimizing one. Returns the maximum of
-    ``|a_res - a_err| / norm(x - x0)`` over the trials.
+    error-minimizing one. This is the subspace identity with ``V = I``.
+    Returns the maximum of ``|a_res - a_err| / norm(x - x0)`` over the
+    trials.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        A = rng.standard_normal((n, n))
-        x = rng.standard_normal(n)
-        x0 = rng.standard_normal(n)
-        b = A @ x
-        _, svals, Vt = np.linalg.svd(A)
-        z = Vt[_pick_index(rng, svals, 1e-5)]
-        Az = A @ z
-        a_res = residual_minimizing_step(b - A @ x0, Az)
-        a_err = error_minimizing_step(x - x0, z)
-        scale = max(float(np.linalg.norm(x - x0)), _TINY)
-        worst = max(worst, abs(a_res - a_err) / scale)
-    return worst
+    return _worst_step_gap(_trials(seed, n, trials, 1e-5, subspace=False))
 
 
 def run_projected_identity_suite(seed=0, n=30, trials=200):
@@ -81,25 +103,7 @@ def run_projected_identity_suite(seed=0, n=30, trials=200):
     and takes ``z`` as a right singular vector of ``A @ V``. The two step
     lengths along ``V @ z`` again coincide.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        m = int(rng.integers(1, n + 1))
-        A = rng.standard_normal((n, n))
-        V, _ = np.linalg.qr(rng.standard_normal((n, m)))
-        y = rng.standard_normal(m)
-        x = rng.standard_normal(n)
-        x0 = x - V @ y
-        b = A @ x
-        AV = A @ V
-        _, svals, Vt = np.linalg.svd(AV)
-        z = Vt[_pick_index(rng, svals, 1e-5)]
-        u = V @ z
-        a_res = residual_minimizing_step(b - A @ x0, AV @ z)
-        a_err = error_minimizing_step(x - x0, u)
-        scale = max(float(np.linalg.norm(x - x0)), _TINY)
-        worst = max(worst, abs(a_res - a_err) / scale)
-    return worst
+    return _worst_step_gap(_trials(seed, n, trials, 1e-5, in_range=True))
 
 
 def run_error_reduction_suite(seed=0, n=30, trials=200):
@@ -114,29 +118,11 @@ def run_error_reduction_suite(seed=0, n=30, trials=200):
     identity is exact for every pair, but the quartic ``1/sigma^4`` factor
     would otherwise amplify roundoff past any useful tolerance.
     """
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        m = int(rng.integers(1, n + 1))
-        A = rng.standard_normal((n, n))
-        V, _ = np.linalg.qr(rng.standard_normal((n, m)))
-        x = rng.standard_normal(n)
-        x0 = rng.standard_normal(n)
-        b = A @ x
-        AV = A @ V
-        _, svals, Vt = np.linalg.svd(AV)
-        idx = _pick_index(rng, svals, 1.0 / 30.0)
-        sigma = svals[idx]
-        z = Vt[idx]
-        u = V @ z
-        e = x - x0
-        a1 = residual_minimizing_step(b - A @ x0, AV @ z)
-        a2 = error_minimizing_step(e, u)
+    for A, sigma, u, e, a1, a2 in _trials(seed, n, trials, 1.0 / 30.0):
         lhs = float(np.linalg.norm(e - a1 * u) ** 2 - np.linalg.norm(e - a2 * u) ** 2)
-        t = A.T @ (A @ u) - sigma**2 * u
-        rhs = float(e @ t) ** 2 / sigma**4
-        scale = max(float(np.linalg.norm(e)) ** 2, _TINY)
-        worst = max(worst, abs(lhs - rhs) / scale)
+        rhs = float(e @ (A.T @ (A @ u) - sigma**2 * u)) ** 2 / sigma**4
+        worst = max(worst, abs(lhs - rhs) / max(float(np.linalg.norm(e)) ** 2, _TINY))
     return worst
 
 

@@ -195,7 +195,7 @@ def extract_harmonic_directions(cycle, k):
         logger.info("skipping augmentation for one cycle: %s", exc)
         values, vectors = np.zeros(0), np.zeros((p, 0))
     carried = _carried_set(cycle, values, vectors)
-    norms = np.linalg.norm(carried.Y, axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", carried.Y, carried.Y))
     keep = np.flatnonzero(norms > 1e-14 * max(1.0, float(norms.max(initial=0.0))))
     if keep.size < values.size:
         logger.debug("discarding %d degenerate harmonic directions", values.size - keep.size)

@@ -1,6 +1,16 @@
+import warnings
+
 import numpy as np
 
 from gmres_sv.sparse import csr_from_coo
+
+# Hypothesis's pytest plugin imports this module while it reports a failing
+# property. Its libcst import raises a DeprecationWarning, which the
+# `error::DeprecationWarning` filter would turn into an INTERNALERROR that
+# hides the falsifying example, so import it once here with that warning off.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def csr_from_dense(dense):

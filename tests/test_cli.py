@@ -160,6 +160,13 @@ class TestReferenceSolution:
         lu_error = np.abs(dense_lu_solve(A.to_dense(), b) - 1.0).max()
         assert np.abs(cli.reference_solution(A, b) - 1.0).max() <= lu_error
 
+    def test_laplacian_reference_is_exactly_ones(self):
+        # fl(A @ ones) is e1en bit for bit, so ones solves the stored system exactly.
+        A = load_matrix("gen:laplacian1d:1000")
+        b = cli.load_rhs("e1en", 1000)
+        assert np.array_equal(A @ np.ones(1000), b)
+        assert np.array_equal(cli.reference_solution(A, b), np.ones(1000))
+
     @pytest.mark.parametrize(
         "entries",
         [

@@ -19,6 +19,7 @@ from gmres_sv.sparse import (
     identity,
     read_matrix_market,
     read_matrix_market_rhs,
+    _sum_duplicates,
     spmv,
 )
 
@@ -54,6 +55,38 @@ class TestCsrFromCoo:
     def test_out_of_bounds_names_triple(self):
         with pytest.raises(TripleIndexError, match=r"row=3, col=0"):
             csr_from_coo([(0, 0, 1.0), (3, 0, 2.0)], 2, 2)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 7), st.integers(0, 80))
+    def test_keyed_sort_matches_lexsort(self, seed, n_rows, n_cols, nnz):
+        # Few positions and values of mixed magnitude: any other summation
+        # order of a duplicate run would change its rounded sum.
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, n_rows, nnz)
+        cols = rng.integers(0, n_cols, nnz)
+        vals = rng.standard_normal(nnz) * 10.0 ** rng.integers(-8, 9, nnz)
+        order = np.lexsort((cols, rows))
+        r, c, v = rows[order], cols[order], vals[order]
+        first = np.ones(nnz, dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        starts = np.flatnonzero(first)
+        row_ptr = np.cumsum(np.r_[0, np.bincount(r[starts], minlength=n_rows)])
+        expected = (row_ptr, c[starts], np.add.reduceat(v, starts) if nnz else v)
+        for got, want in zip(_sum_duplicates(rows, cols, vals, n_rows, n_cols), expected):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_keys_near_the_int64_top_sort_by_row_then_column(self):
+        n_cols = 2**62 - 1
+        rows, cols = np.array([1, 0, 1]), np.array([n_cols - 1, n_cols - 1, 0])
+        row_ptr, out_cols, vals = _sum_duplicates(rows, cols, np.array([1.0, 2.0, 3.0]), 2, n_cols)
+        assert row_ptr.tolist() == [0, 1, 3]
+        assert out_cols.tolist() == [n_cols - 1, 0, n_cols - 1]
+        assert vals.tolist() == [2.0, 3.0, 1.0]
+
+    def test_shape_past_int64_keys_rejected(self):
+        one = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError, match="too large for int64 coordinate keys"):
+            _sum_duplicates(one, one, np.ones(1), 3, 2**62)
 
     def test_invariants_hold(self):
         rng = np.random.default_rng(3)
