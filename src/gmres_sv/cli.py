@@ -27,7 +27,7 @@ from .diagnostics import (
     run_projected_identity_suite,
 )
 from .kernels import DENSE_SOLVE_CAP, SingularSystemError, band_qr_solve, bandwidths, dense_lu_solve
-from .solvers import SolverConfig, solve
+from .solvers import VARIANTS, SolverConfig, solve
 from .sparse import (
     MatrixMarketError,
     gen_bidiagonal,
@@ -214,7 +214,7 @@ def _build_parser():
     run_p.add_argument("--preset", help="name of a built-in experiment preset")
     run_p.add_argument("--matrix", help="gen:laplacian1d:N | gen:bidiag:N:S | gen:eye:N | MM file path")
     run_p.add_argument("--rhs", default="ones", help="ones | e1en | MM vector file path")
-    run_p.add_argument("--variant", choices=("plain", "sv", "hr"), help="solver variant")
+    run_p.add_argument("--variant", choices=VARIANTS, help="solver variant")
     run_p.add_argument("--m", type=int, help="search-space dimension per cycle")
     run_p.add_argument("--k", type=int, default=0, help="carried directions per cycle")
     run_p.add_argument("--tol", type=float, default=1e-8, help="relative residual target")

@@ -128,17 +128,15 @@ def gen_eig_largest_magnitude(G, F, k):
     order = np.argsort(np.abs(eigvals), kind="stable")
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     real = ~(np.abs(eigvals.imag) > _COMPLEX_DISCARD_TOL * np.abs(eigvals.real))
-    thetas, vectors = eigvals.real[real], np.real(eigvecs[:, real])
-    norms = np.linalg.norm(vectors, axis=0)
-    nonzero = norms != 0.0
-    thetas, vectors = thetas[nonzero], vectors[:, nonzero] / norms[nonzero]
+    # geev returns unit vectors whose largest component is real, so no real part is zero
+    thetas, vectors = eigvals.real[real], eigvecs.real[:, real]
+    vectors /= np.linalg.norm(vectors, axis=0)
     residuals = np.linalg.norm(G @ vectors - thetas * (F @ vectors), axis=0)
     bounds = _PENCIL_RESIDUAL_TOL * (float(np.linalg.norm(G)) + np.abs(thetas) * float(np.linalg.norm(F)))
     accurate = np.flatnonzero(~(residuals > bounds))
     logger.debug(
-        "pencil pairs discarded: %d complex, %d zero vectors, %d residuals out of tolerance",
+        "pencil pairs discarded: %d complex, %d residuals out of tolerance",
         np.count_nonzero(~real),
-        np.count_nonzero(~nonzero),
         thetas.size - accurate.size,
     )
     kept = accurate[-k:]

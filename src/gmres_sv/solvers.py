@@ -257,12 +257,9 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     if A.n_rows != A.n_cols:
         raise ValueError("coefficient matrix must be square")
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (A.n_rows,):
-        raise ValueError("right-hand side length does not match the matrix")
-    if x0 is not None and np.shape(x0) != (A.n_rows,):
-        raise ValueError("starting iterate length does not match the matrix")
-    if x_ref is not None and np.shape(x_ref) != (A.n_rows,):
-        raise ValueError("reference solution length does not match the matrix")
+    for name, data in (("right-hand side", b), ("starting iterate", x0), ("reference solution", x_ref)):
+        if data is not None and np.shape(data) != (A.n_rows,):
+            raise ValueError(f"{name} length does not match the matrix")
     start = np.zeros(A.n_rows) if x0 is None else np.asarray(x0, dtype=np.float64)
     checked = [("matrix", A.values), ("right-hand side", b), ("starting iterate", start), ("reference solution", x_ref)]
     for name, data in checked:

@@ -133,10 +133,8 @@ class CsrMatrix:
             if col_idx.min() < 0 or col_idx.max() >= n_cols:
                 raise ValueError("column indices out of range")
         rows = np.repeat(np.arange(n_rows, dtype=np.int64), lengths)
-        if values.size > 1:
-            same_row = rows[1:] == rows[:-1]
-            if np.any(col_idx[1:][same_row] <= col_idx[:-1][same_row]):
-                raise ValueError("column indices must be strictly increasing within each row")
+        if np.any((rows[1:] == rows[:-1]) & (col_idx[1:] <= col_idx[:-1])):
+            raise ValueError("column indices must be strictly increasing within each row")
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix values must be finite")
         self.n_rows = n_rows
@@ -206,9 +204,7 @@ def _sum_duplicates(rows, cols, vals, n_rows, n_cols):
             vals = np.add.reduceat(vals, starts)
         rows = rows[starts]
         cols = cols[starts]
-    row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.add.at(row_ptr, rows + 1, 1)
-    return np.cumsum(row_ptr), cols, vals
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows)))), cols, vals
 
 
 def csr_from_coo(triples, n_rows, n_cols):
@@ -252,12 +248,24 @@ def spmv(A, x):
     return y
 
 
-def identity(n):
-    """n x n identity matrix in CSR form."""
+def _banded(n, diagonals):
+    """Order-``n`` matrix from ``{offset: scalar or one value per row}``; entries off the matrix are dropped.
+
+    Laid out row by row with the offsets ascending, the entries are in CSR
+    order already, so they need no coordinate sort or duplicate pass.
+    """
     if n < 1:
         raise ValueError("matrix order must be at least 1")
-    idx = np.arange(n, dtype=np.int64)
-    return CsrMatrix(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
+    offsets = sorted(diagonals)
+    cols = np.arange(n)[:, None] + offsets
+    inside = (cols >= 0) & (cols < n)
+    vals = np.stack([np.broadcast_to(diagonals[o], n) for o in offsets], axis=1)
+    return CsrMatrix(n, n, np.concatenate(([0], np.cumsum(inside.sum(axis=1)))), cols[inside], vals[inside])
+
+
+def identity(n):
+    """n x n identity matrix in CSR form."""
+    return _banded(n, {0: 1.0})
 
 
 def gen_laplacian_1d(n):
@@ -266,24 +274,12 @@ def gen_laplacian_1d(n):
     The order-n matrix has eigenvalues ``2 * (1 - cos(k*pi/(n+1)))`` for
     ``k = 1..n``.
     """
-    if n < 1:
-        raise ValueError("matrix order must be at least 1")
-    idx = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([idx, idx[1:], idx[:-1]])
-    cols = np.concatenate([idx, idx[:-1], idx[1:]])
-    vals = np.concatenate([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)])
-    return csr_from_coo((rows, cols, vals), n, n)
+    return _banded(n, {-1: -1.0, 0: 2.0, 1: -1.0})
 
 
 def gen_bidiagonal(n, superdiag):
     """Upper bidiagonal matrix with diagonal 1, 2, ..., n and a constant superdiagonal."""
-    if n < 1:
-        raise ValueError("matrix order must be at least 1")
-    idx = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([idx, idx[:-1]])
-    cols = np.concatenate([idx, idx[1:]])
-    vals = np.concatenate([np.arange(1.0, n + 1.0), float(superdiag) * np.ones(n - 1)])
-    return csr_from_coo((rows, cols, vals), n, n)
+    return _banded(n, {0: np.arange(1.0, n + 1.0), 1: float(superdiag)})
 
 
 def _open_source(source):

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ from gmres_sv.sparse import csr_from_coo
 # property. Its libcst import raises a DeprecationWarning, which the
 # `error::DeprecationWarning` filter would turn into an INTERNALERROR that
 # hides the falsifying example, so import it once here with that warning off.
-with warnings.catch_warnings():
+# libcst is optional, as it is to the plugin, which skips the module without it.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 

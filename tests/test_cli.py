@@ -55,6 +55,19 @@ class TestLoadMatrix:
         with pytest.raises(ValueError, match="generator spec"):
             load_matrix("gen:dense:4")
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("gen:bidiag:5", "unknown generator spec 'gen:bidiag:5'; expected gen:laplacian1d:N, gen:bidiag:N:S or gen:eye:N"),
+            ("gen:eye:x", "bad generator spec 'gen:eye:x': invalid literal for int() with base 10: 'x'"),
+            ("gen:eye:0", "bad generator spec 'gen:eye:0': matrix order must be at least 1"),
+        ],
+    )
+    def test_bad_generator_spec_named(self, spec, message):
+        with pytest.raises(ValueError) as info:
+            load_matrix(spec)
+        assert str(info.value) == message
+
     def test_missing_file_names_path(self):
         with pytest.raises(FileNotFoundError, match="no/such/file.mtx"):
             load_matrix("no/such/file.mtx")

@@ -424,6 +424,16 @@ class TestSolveBadInput:
         with pytest.raises(ValueError, match="reference solution"):
             solve(gen_laplacian_1d(50), np.ones(50), None, SolverConfig("sv", 10, 2), x_ref=np.ones(shape))
 
+    @pytest.mark.parametrize("shape", [(49,), (50, 1), ()])
+    def test_misshaped_right_hand_side_rejected(self, shape):
+        # the length is checked before the NaN entries are
+        with pytest.raises(ValueError, match="^right-hand side length does not match the matrix$"):
+            solve(gen_laplacian_1d(50), np.full(shape, np.nan), None, SolverConfig("sv", 10, 2))
+
+    def test_rectangular_matrix_rejected(self):
+        with pytest.raises(ValueError, match="^coefficient matrix must be square$"):
+            solve(csr_from_coo([(0, 0, 1.0), (1, 2, 1.0)], 2, 3), np.ones(2), None, SolverConfig("plain", 2))
+
     @pytest.mark.parametrize("rhs", [0.0, 1.0])
     @pytest.mark.parametrize("shape", [(7,), (5, 1), ()])
     def test_misshaped_starting_iterate_rejected(self, shape, rhs):

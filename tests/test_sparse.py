@@ -274,7 +274,80 @@ class TestReadOnly:
         assert np.array_equal(spmv(A, np.ones(2)), [1.0, 2.0])
 
 
+@st.composite
+def column_rows(draw):
+    """Column lists per row, some sorted and unique, some not, empty rows included."""
+    n_cols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(st.lists(st.integers(0, n_cols - 1), max_size=4), st.booleans()), min_size=1, max_size=6))
+    return n_cols, [sorted(set(cols)) if tidy else cols for cols, tidy in rows]
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-1, 2, [0], [], []), "matrix shape must be nonnegative"),
+            ((2, 2, [0, 0], [], []), "row_ptr must have length n_rows + 1 = 3"),
+            ((1, 2, [0, 1], [0], [1.0, 2.0]), "col_idx and values must be 1-d arrays of equal length"),
+            ((1, 2, [1, 1], [0], [1.0]), "row_ptr must start at 0 and end at nnz"),
+            ((1, 2, [0, 2], [0], [1.0]), "row_ptr must start at 0 and end at nnz"),
+            ((2, 2, [0, 2, 1], [0], [1.0]), "row_ptr must be nondecreasing"),
+            ((1, 2, [0, 1], [2], [1.0]), "column indices out of range"),
+            ((1, 2, [0, 1], [-1], [1.0]), "column indices out of range"),
+            ((1, 3, [0, 2], [1, 1], [1.0, 2.0]), "column indices must be strictly increasing within each row"),
+            ((1, 3, [0, 2], [2, 1], [1.0, 2.0]), "column indices must be strictly increasing within each row"),
+            ((1, 2, [0, 1], [0], [np.nan]), "matrix values must be finite"),
+        ],
+    )
+    def test_invalid_arrays_rejected(self, args, message):
+        with pytest.raises(ValueError) as info:
+            CsrMatrix(*args)
+        assert str(info.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(column_rows())
+    def test_row_order_rule_matches_a_per_row_loop(self, case):
+        n_cols, rows = case
+        ordered = all(a < b for cols in rows for a, b in zip(cols, cols[1:]))
+        col_idx = np.array([c for cols in rows for c in cols], dtype=np.int64)
+        args = (len(rows), n_cols, np.cumsum([0] + [len(cols) for cols in rows]), col_idx, np.ones(col_idx.size))
+        if ordered:
+            assert np.array_equal(CsrMatrix(*args).col_idx, col_idx)
+        else:
+            with pytest.raises(ValueError, match="strictly increasing within each row"):
+                CsrMatrix(*args)
+
+
+def sorted_triples(kind, n, superdiag):
+    """The coordinate triples that each generator once sorted through ``csr_from_coo``."""
+    idx = np.arange(n, dtype=np.int64)
+    if kind == "identity":
+        return idx, idx, np.ones(n)
+    if kind == "laplacian":
+        return (
+            np.concatenate([idx, idx[1:], idx[:-1]]),
+            np.concatenate([idx, idx[:-1], idx[1:]]),
+            np.concatenate([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)]),
+        )
+    return (
+        np.concatenate([idx, idx[:-1]]),
+        np.concatenate([idx, idx[1:]]),
+        np.concatenate([np.arange(1.0, n + 1.0), float(superdiag) * np.ones(n - 1)]),
+    )
+
+
 class TestGenerators:
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000])
+    @pytest.mark.parametrize(
+        "kind, superdiag", [("identity", None), ("laplacian", None), ("bidiagonal", 0.1), ("bidiagonal", -2.5)]
+    )
+    def test_band_layout_equals_sorted_triples(self, kind, superdiag, n):
+        built = {"identity": identity, "laplacian": gen_laplacian_1d}.get(kind, lambda n: gen_bidiagonal(n, superdiag))(n)
+        reference = csr_from_coo(sorted_triples(kind, n, superdiag), n, n)
+        for name in ("row_ptr", "col_idx", "values"):
+            got, want = getattr(built, name), getattr(reference, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_laplacian_order_one(self):
         assert_allclose(gen_laplacian_1d(1).to_dense(), [[2.0]], atol=0)
 
