@@ -29,7 +29,6 @@ from .diagnostics import (
 from .kernels import DENSE_SOLVE_CAP, SingularSystemError, band_qr_solve, bandwidths, dense_lu_solve
 from .solvers import VARIANTS, SolverConfig, solve
 from .sparse import (
-    MatrixMarketError,
     gen_bidiagonal,
     gen_laplacian_1d,
     identity,
@@ -295,7 +294,7 @@ def main(argv=None):
         if args.command == "identities":
             return _cmd_identities(args)
         return _cmd_presets(args)
-    except (FileNotFoundError, MatrixMarketError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,8 +18,7 @@ import numpy as np
 from .sparse import spmv
 
 __all__ = [
-    "residual_minimizing_step",
-    "error_minimizing_step",
+    "minimizing_step",
     "run_direction_identity_suite",
     "run_projected_identity_suite",
     "run_error_reduction_suite",
@@ -29,20 +28,12 @@ __all__ = [
 _TINY = 1e-300
 
 
-def residual_minimizing_step(r0, Au):
-    """Step length along ``u`` minimizing ``norm(r0 - a * Au)``."""
-    denom = float(Au @ Au)
+def minimizing_step(target, direction):
+    """Step length ``a`` minimizing ``norm(target - a * direction)``; 0.0 for a zero direction."""
+    denom = float(direction @ direction)
     if denom == 0.0:
         return 0.0
-    return float(r0 @ Au) / denom
-
-
-def error_minimizing_step(e, u):
-    """Step length along ``u`` minimizing ``norm(e - a * u)``."""
-    denom = float(u @ u)
-    if denom == 0.0:
-        return 0.0
-    return float(e @ u) / denom
+    return float(target @ direction) / denom
 
 
 def _pick_index(rng, svals, floor):
@@ -75,7 +66,7 @@ def _trials(seed, n, trials, floor, subspace=True, in_range=False):
         z = Vt[idx]
         u = V @ z
         e = x - x0
-        yield A, svals[idx], u, e, residual_minimizing_step(A @ x - A @ x0, AV @ z), error_minimizing_step(e, u)
+        yield A, svals[idx], u, e, minimizing_step(A @ x - A @ x0, AV @ z), minimizing_step(e, u)
 
 
 def _worst_step_gap(trials):

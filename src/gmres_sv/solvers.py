@@ -289,24 +289,25 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
         return norm
 
     if bnorm == 0.0:
-        x = np.zeros(A.n_rows)
-        return SolveReport(x=x, converged=True, record=record, final_relres=0.0, final_error_norm=err(x, 0))
+        # x = 0 solves the system exactly; its relres of 0.0 runs no cycle
+        start = np.zeros(A.n_rows)
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.ldexp(start, -exponent)
         r = b - spmv(A, x)
-        relres = float(np.linalg.norm(r)) / bnorm
+        relres = float(np.linalg.norm(r)) / bnorm if bnorm else 0.0
     if not math.isfinite(relres):
         # A starting residual whose size relative to b overflows would only
         # carry infinities through the cycles; report it unconverged.
         relres = math.inf
     true_mvp = 1
     paper_mvp = 0
-    workspace = CycleWorkspace(A.n_rows, config.m)
+    # a start that meets tol or cannot be measured runs no cycle and needs no workspace
+    cycles = config.max_cycles if config.tol < relres < math.inf else 0
+    workspace = CycleWorkspace(A.n_rows, config.m) if cycles else None
     aug = None
     prev_relres = final_relres = relres
     stagnant = 0
-    # a start that meets tol or cannot be measured runs no cycle
-    for cycle in range(1, config.max_cycles + 1 if config.tol < relres < math.inf else 1):
+    for cycle in range(1, cycles + 1):
         try:
             # a pivot too small for the float range overflows here; the
             # finiteness test below reports it

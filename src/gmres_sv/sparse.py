@@ -194,16 +194,15 @@ def _sum_duplicates(rows, cols, vals, n_rows, n_cols):
     # to have fewer than 2**63 positions.
     if int(n_rows) * int(n_cols) >= 2**63:
         raise ValueError(f"shape {n_rows} x {n_cols} is too large for int64 coordinate keys")
-    if rows.size:
-        order = np.argsort(rows * n_cols + cols, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(first)
-        with np.errstate(over="ignore"):
-            vals = np.add.reduceat(vals, starts)
-        rows = rows[starts]
-        cols = cols[starts]
+    order = np.argsort(rows * n_cols + cols, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(first)
+    with np.errstate(over="ignore"):
+        vals = np.add.reduceat(vals, starts)
+    rows = rows[starts]
+    cols = cols[starts]
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows)))), cols, vals
 
 
@@ -351,45 +350,6 @@ _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 _VALUE = np.dtype([("v", np.float64)])
 
 
-def _read_entries(stream, line_no, n_rows, n_cols, nnz, kind, width, path=None):
-    """Read the ``nnz`` body lines that follow the size line ``line_no``.
-
-    A coordinate line holds ``row col value`` (``width`` 3), an array line
-    the next value of the single column (``width`` 1). Returns 0-based
-    ``(rows, cols, vals)``. One ``np.loadtxt`` pass parses the body and
-    whole-array checks validate it; only when one of them fails is the body
-    scanned again line by line to name the first bad line. Given the
-    ``path`` that ``stream`` reads, numpy reads the file itself, in C
-    chunks, past the first ``line_no`` lines; a stream it iterates by line.
-    """
-    offset = stream.tell()
-    source, skip = (stream, 0) if path is None else (path, line_no)
-    dtype = _ENTRY if width == 3 else _VALUE
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            try:
-                entries = np.loadtxt(source, dtype=dtype, comments="%", skiprows=skip, ndmin=1, encoding="utf-8")
-            except UnicodeDecodeError:
-                # numpy decodes the path strictly; the stream escapes the byte
-                stream.seek(offset)
-                entries = np.loadtxt(stream, dtype=dtype, comments="%", ndmin=1)
-    except ValueError:
-        pass
-    else:
-        vals = entries["v"]
-        if entries.size == nnz and np.isfinite(vals).all():
-            if width == 1:
-                return np.arange(nnz), np.zeros(nnz, dtype=np.int64), vals
-            rows, cols = entries["i"], entries["j"]
-            if nnz == 0 or (min(rows.min(), cols.min()) >= 1 and rows.max() <= n_rows and cols.max() <= n_cols):
-                rows -= 1
-                cols -= 1
-                return rows, cols, vals
-    stream.seek(offset)
-    raise _entry_error(stream, line_no, n_rows, n_cols, nnz, kind, width)
-
-
 def _entry_error(stream, line_no, n_rows, n_cols, nnz, kind, width):
     """Scan the body lines with the bulk parse's rules; return the error for the first bad one."""
     fields, what = ("'row col value'", "entries") if width == 3 else ("one value", "values")
@@ -441,6 +401,13 @@ def _read(source, kind):
 
     Returns ``(n_rows, n_cols, row_ptr, cols, vals)``, the CSR arrays of
     the entries with symmetric storage mirrored and duplicates summed.
+
+    A coordinate body line holds ``row col value``, an array line the next
+    value of the single column. One ``np.loadtxt`` pass parses the body and
+    whole-array checks validate it; only when one of them fails is the body
+    scanned again line by line to name the first bad line. From a path,
+    numpy reads the file itself, in C chunks, past the header lines; a
+    stream it iterates by line.
     """
     vector = kind == "vector"
     stream, owned = _open_source(source)
@@ -458,7 +425,28 @@ def _read(source, kind):
         if vector and n_cols != 1:
             raise MatrixMarketFormatError(f"expected a single column, got {n_cols}")
         offset = stream.tell()
-        rows, cols, vals = _read_entries(stream, line_no, n_rows, n_cols, nnz, kind, width, source if owned else None)
+        dtype = _ENTRY if width == 3 else _VALUE
+        body, skip = (source, line_no) if owned else (stream, 0)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                try:
+                    entries = np.loadtxt(body, dtype=dtype, comments="%", skiprows=skip, ndmin=1, encoding="utf-8")
+                except UnicodeDecodeError:
+                    # numpy decodes the path strictly; the stream escapes the byte
+                    stream.seek(offset)
+                    entries = np.loadtxt(stream, dtype=dtype, comments="%", ndmin=1)
+            vals = entries["v"]
+            rows, cols = (entries["i"], entries["j"]) if width == 3 else (np.arange(1, nnz + 1), np.ones(nnz, np.int64))
+            if entries.size != nnz or not np.isfinite(vals).all() or (nnz and not (
+                min(rows.min(), cols.min()) >= 1 and rows.max() <= n_rows and cols.max() <= n_cols
+            )):
+                raise ValueError
+        except ValueError:
+            stream.seek(offset)
+            raise _entry_error(stream, line_no, n_rows, n_cols, nnz, kind, width) from None
+        rows -= 1
+        cols -= 1
         if symmetry == "symmetric":
             off = rows != cols
             rows, cols, vals = (np.concatenate([a, b[off]]) for a, b in ((rows, cols), (cols, rows), (vals, vals)))

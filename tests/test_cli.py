@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import csr_from_dense
 from gmres_sv import cli
-from gmres_sv.cli import ExperimentPreset, VariantSpec, load_matrix, run_experiment
+from gmres_sv.cli import ExperimentPreset, VariantSpec, load_matrix, load_rhs, run_experiment
 from gmres_sv.kernels import dense_lu_solve
 from gmres_sv.solvers import SolverConfig, solve
 from gmres_sv.sparse import csr_from_coo, gen_laplacian_1d
@@ -71,6 +76,21 @@ class TestLoadMatrix:
     def test_missing_file_names_path(self):
         with pytest.raises(FileNotFoundError, match="no/such/file.mtx"):
             load_matrix("no/such/file.mtx")
+
+
+class TestLoadRhs:
+    def test_missing_file_names_path(self, tmp_path):
+        path = tmp_path / "absent.mtx"
+        with pytest.raises(FileNotFoundError) as info:
+            load_rhs(str(path), 5)
+        assert str(info.value) == f"right-hand side file not found: {path}"
+
+    def test_length_must_match_the_matrix(self, tmp_path):
+        path = tmp_path / "b.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n3 1\n1\n2\n3\n")
+        with pytest.raises(ValueError) as info:
+            load_rhs(str(path), 5)
+        assert str(info.value) == "right-hand side length 3 does not match matrix order 5"
 
 
 class TestRunExperiment:
@@ -236,6 +256,23 @@ class TestMain:
         rows = parse_csv(capsys.readouterr().out)
         assert rows[-1]["relres"] <= 1e-8
 
+    def test_file_rhs_equals_the_named_one(self, tmp_path, capsys):
+        path = tmp_path / "e1en.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n30 1\n1\n" + "0\n" * 28 + "1\n")
+        args = ["run", "--matrix", "gen:laplacian1d:30", "--variant", "plain", "--m", "30", "--rhs"]
+        assert cli.main(args + ["e1en"]) == 0
+        named = capsys.readouterr().out
+        assert cli.main(args + [str(path)]) == 0
+        assert capsys.readouterr().out == named
+
+    def test_malformed_matrix_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 x 1.0\n")
+        assert cli.main(["run", "--matrix", str(path), "--variant", "plain", "--m", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 4: could not parse entry from ['2', 'x', '1.0']\n"
+        assert captured.out == ""
+
     def test_strict_nonconvergence_exit_code(self, capsys):
         args = ["run", "--matrix", "gen:laplacian1d:60", "--variant", "plain", "--m", "3",
                 "--max-cycles", "2"]
@@ -289,3 +326,17 @@ class TestMain:
         out = capsys.readouterr().out
         for name in ("identity-10", "laplacian1d-1000", "bidiagonal-1000"):
             assert name in out
+
+    def test_python_m_runs_the_cli(self, capsys):
+        assert cli.main(["presets"]) == 0
+        listing = capsys.readouterr().out
+        done = subprocess.run(
+            [sys.executable, "-m", "gmres_sv", "presets"],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0
+        assert done.stdout == listing
+        assert [line.split(":")[0] for line in listing.splitlines()] == sorted(cli.PRESETS)

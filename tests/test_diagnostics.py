@@ -1,9 +1,8 @@
 import numpy as np
 
 from gmres_sv.diagnostics import (
-    error_minimizing_step,
+    minimizing_step,
     projection_residual_bound,
-    residual_minimizing_step,
     run_direction_identity_suite,
     run_error_reduction_suite,
     run_projected_identity_suite,
@@ -34,10 +33,13 @@ class TestMinimizerIdentities:
         b = A @ x
         _, _, Vt = np.linalg.svd(A)
         z = Vt[4]
-        a_res = residual_minimizing_step(b - A @ x, A @ z)
-        a_err = error_minimizing_step(x - x, z)
+        a_res = minimizing_step(b - A @ x, A @ z)
+        a_err = minimizing_step(x - x, z)
         assert a_res == 0.0
         assert a_err == 0.0
+
+    def test_zero_direction_gives_zero_step(self):
+        assert minimizing_step(np.ones(4), np.zeros(4)) == 0.0
 
 
 class TestProjectionResidualBound:

@@ -172,6 +172,22 @@ class TestSolve:
         assert report.final_relres == 0.0
         assert_allclose(report.x, np.zeros(5), atol=0)
 
+    def test_zero_rhs_ignores_the_start_and_measures_the_error(self):
+        x_ref = np.full(5, 2.0)
+        report = solve(gen_laplacian_1d(5), np.zeros(5), np.ones(5), SolverConfig("sv", 3, 1), x_ref=x_ref)
+        assert np.array_equal(report.x, np.zeros(5))
+        assert report.converged
+        assert report.final_relres == 0.0
+        assert report.record == []
+        assert report.final_error_norm == 4.47213595499958
+
+    def test_no_workspace_when_no_cycle_runs(self, monkeypatch):
+        monkeypatch.setattr("gmres_sv.solvers.CycleWorkspace", None)
+        A = gen_laplacian_1d(6)
+        x = np.arange(1.0, 7.0)
+        assert solve(A, np.zeros(6), x, SolverConfig("sv", 3, 1)).converged
+        assert solve(A, spmv(A, x), x, SolverConfig("sv", 3, 1)).converged
+
     def test_starting_iterate_already_converged(self):
         A = gen_laplacian_1d(6)
         x = np.arange(1.0, 7.0)

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from conftest import csr_from_dense, random_csr
 from gmres_sv.sparse import (
     CsrMatrix,
+    MatrixMarketError,
     MatrixMarketFormatError,
     MatrixMarketParseError,
     TripleIndexError,
@@ -405,6 +406,9 @@ SYMMETRIC_LOWER = """%%MatrixMarket matrix coordinate real symmetric
 """
 
 
+BANNER = "%%MatrixMarket matrix coordinate real general\n"
+
+
 class TestMatrixMarketRead:
     def test_general_file(self):
         A = read_matrix_market(io.StringIO(GENERAL_2X2))
@@ -473,6 +477,30 @@ class TestMatrixMarketRead:
             read_matrix_market(io.StringIO(text))
         assert excinfo.value.line_no == 3
 
+    @pytest.mark.parametrize(
+        "read, text, message",
+        [
+            (
+                read_matrix_market,
+                "%%MatrixMarket matrix coordinate\n",
+                "line 1: banner must name object, format and field",
+            ),
+            (read_matrix_market, "%%MatrixMarket vector coordinate real general\n", "unsupported object 'vector'"),
+            (read_matrix_market, BANNER + "% no size\n", "line 2: missing size line"),
+            (read_matrix_market, BANNER + "2 2\n", "line 2: expected 3 integers, got 2 tokens"),
+            (
+                read_matrix_market_rhs,
+                "%%MatrixMarket matrix array real symmetric\n2 1\n1\n2\n",
+                "unsupported symmetry 'symmetric' for a vector",
+            ),
+        ],
+        ids=["short-banner", "vector-object", "no-size-line", "short-size-line", "symmetric-vector"],
+    )
+    def test_header_error_text(self, read, text, message):
+        with pytest.raises(MatrixMarketError) as info:
+            read(io.StringIO(text))
+        assert str(info.value) == message
+
     def test_path_input(self, tmp_path):
         path = tmp_path / "tiny.mtx"
         path.write_text(GENERAL_2X2)
@@ -509,7 +537,6 @@ class TestMatrixMarketRhs:
             read_matrix_market_rhs(io.StringIO(text))
 
 
-BANNER = "%%MatrixMarket matrix coordinate real general\n"
 ARRAY_BANNER = "%%MatrixMarket matrix array real general\n"
 
 # Lines the reader must skip anywhere in the body.
