@@ -127,8 +127,7 @@ def projection_residual_bound(A, b, result):
     augmentation products), built here by explicit products and a dense QR
     as the independent route.
     """
-    ws = result.workspace
-    r0 = ws.beta * ws.Q[:, 0]
+    r0 = result.beta * result.Q[:, 0]
     W = result.W
     AW = np.column_stack([spmv(A, W[:, j]) for j in range(W.shape[1])])
     U, _ = np.linalg.qr(AW)

@@ -108,8 +108,8 @@ class SolverConfig:
             raise ValueError(f"need 0 <= k < m, got k={self.k}, m={self.m}")
         if self.variant == "plain" and self.k != 0:
             raise ValueError("plain restarts do not carry directions; set k=0")
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be at least 1")
 
@@ -145,7 +145,7 @@ class SolveReport:
 
 def _carried_set(cycle, values, vectors):
     """The carried set ``Y = W @ g``, ``AY = Q @ (H @ g)`` for the coefficient columns ``g`` of ``vectors``."""
-    Y = cycle.workspace.W_times(vectors, cycle.n_cols)
+    Y = cycle.W_times(vectors)
     AY = cycle.Q @ (cycle.H @ vectors)
     return AugmentationSet(Y=Y, AY=AY, sigma_sq=values)
 
@@ -184,10 +184,9 @@ def extract_harmonic_directions(cycle, k):
     R = cycle.R[:p, :p]
     G = R.T @ R
     # The Krylov columns of W are the leading columns of the orthonormal Q.
-    ws = cycle.workspace
-    krylov, aug = ws.split(p)
+    krylov, aug = cycle.split()
     QtW = np.eye(p + 1, p)
-    QtW[:, krylov:] = cycle.Q.T @ ws.Y[:, :aug]
+    QtW[:, krylov:] = cycle.Q.T @ cycle.Y[:, :aug]
     F = cycle.H.T @ QtW
     try:
         values, vectors = gen_eig_largest_magnitude(G, F, min(k, p))
@@ -337,6 +336,10 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
         if on_cycle is not None:
             on_cycle(cycle, result)
         if final_relres <= config.tol:
+            break
+        if true_relres == 0.0:
+            # b - A @ x is exactly zero: the next cycle would have no direction to start from
+            logger.info("stopping at cycle %d: the iterate solves the system exactly", cycle)
             break
         if result.relres <= config.tol:
             logger.info("cycle %d: the residual recomputed from x, %.3g, is above tol; continuing", cycle, true_relres)

@@ -216,7 +216,7 @@ class TestCriterion5IdentitySuites:
         pairs = []
 
         def hook(cycle, result):
-            if result.workspace.k > 0:
+            if result.Y.shape[1] > 0:
                 pairs.append(projection_residual_bound(A, b, result))
 
         solve(A, b, None, SolverConfig("sv", m=20, k=2, tol=1e-30, max_cycles=50), on_cycle=hook)

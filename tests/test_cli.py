@@ -280,6 +280,13 @@ class TestMain:
         capsys.readouterr()
         assert cli.main(args + ["--strict"]) == 2
 
+    def test_infinite_tolerance_exits_one(self, capsys):
+        args = ["run", "--matrix", "gen:laplacian1d:5", "--variant", "plain", "--m", "3", "--tol", "inf", "--strict"]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: tolerance must be positive and finite\n"
+        assert captured.out == ""
+
     def test_missing_file_exit_code(self, capsys):
         code = cli.main(["run", "--matrix", "does/not/exist.mtx", "--variant", "plain", "--m", "5"])
         assert code == 1

@@ -49,7 +49,7 @@ class TestProjectionResidualBound:
         pairs = []
 
         def hook(cycle, result):
-            if result.workspace.k > 0:
+            if result.Y.shape[1] > 0:
                 pairs.append(projection_residual_bound(A, b, result))
 
         solve(A, b, None, SolverConfig("sv", m=10, k=2, max_cycles=12), on_cycle=hook)

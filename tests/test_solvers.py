@@ -35,9 +35,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig("sv", m=5, k=5)
 
-    def test_positive_tolerance(self):
-        with pytest.raises(ValueError):
-            SolverConfig("sv", m=5, k=1, tol=0.0)
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+    def test_positive_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            SolverConfig("sv", m=5, k=1, tol=tol)
 
 
 class TestExtractSingularDirections:
@@ -195,6 +196,19 @@ class TestSolve:
         report = solve(A, b, x, SolverConfig("plain", m=3))
         assert report.converged
         assert len(report.record) == 0
+
+    def test_exact_iterate_stops_the_loop(self, caplog):
+        # cycle 1 lands on x exactly while its rotated-rhs estimate reads 1.9e-17;
+        # a second cycle would start from a zero residual
+        A = csr_from_coo((np.arange(6), np.arange(6), [4.0, 4.0, 4.0, 2.0, 1.0, 3.0]), 6, 6)
+        b = spmv(A, np.array([-2.0, 3.0, -2.0, 0.0, 0.0, 0.0]))
+        with caplog.at_level("INFO", logger="gmres_sv.solvers"):
+            report = solve(A, b, None, SolverConfig("hr", m=4, k=1, tol=1e-30, max_cycles=8))
+        assert len(report.record) == 1
+        assert not (b - spmv(A, report.x)).any()
+        assert report.final_relres == report.record[0].relres > 0.0
+        assert report.converged is False
+        assert "solves the system exactly" in caplog.text
 
     def test_matvec_accounting_matches_convention(self):
         A = gen_laplacian_1d(50)
