@@ -10,8 +10,15 @@ shape ``(m+1, m)``. The projected least-squares problem
 first columns of the factor are the triangular ``R`` of ``H`` and the last
 is the rotated right-hand side, whose last entry is the residual norm.
 
+The basis grows by delayed classical Gram-Schmidt (DCGS2): the two
+products of each step over the basis finish the previous column and
+project the new direction, so the basis is read twice per step, and
+:func:`finish_arnoldi` completes the last column and maps the raw
+coefficients to ``H`` once per cycle.
+
 The Krylov columns of ``W`` are the leading columns of ``Q``, so ``W`` is
-never stored: the workspace keeps ``Q`` and ``H``, the result keeps the
+never stored: the workspace keeps ``Q``, ``H`` and the small triangular
+``S`` of the orthogonalization, the result keeps the
 ``k`` augmentation columns ``Y`` by reference, and products with ``W`` are
 split into a ``Q`` block and a ``Y`` block. One workspace serves every
 cycle of a solve.
@@ -31,43 +38,75 @@ from .sparse import spmv
 # Placeholders for the deleted Givens kernels, which perfbench's tracer rebinds; ROADMAP item 3 removes them.
 apply_chain = givens_qr_hessenberg = None
 
-__all__ = ["CycleWorkspace", "CycleResult", "arnoldi_expand", "run_cycle"]
+__all__ = ["CycleWorkspace", "CycleResult", "arnoldi_expand", "finish_arnoldi", "run_cycle"]
 
 _BREAKDOWN_TOL = 1e-12
+_MINUS_EYE2 = -np.eye(2)
+_PYTHAGORAS_TOL = 1e-8
 
 
 class CycleWorkspace:
-    """Basis and Hessenberg buffers of one solve, overwritten by each cycle.
+    """Basis and coefficient buffers of one solve, overwritten by each cycle.
 
     ``Q`` is stored column-major (``order="F"``), so each basis column is
-    one contiguous vector and the leading block ``Q[:, :j+1]`` is a
-    contiguous panel for the matrix-vector products of the
-    orthogonalization.
+    one contiguous vector and a leading block ``Q[:, :j+2]`` is one
+    contiguous panel for the two products of each orthogonalization step.
 
     Attributes
     ----------
     Q : (n, m+1) array
-        Orthonormal basis being extended one column per step; its leading
-        columns are also the Krylov columns of the search basis.
+        Basis extended by one column per step. Before step ``j`` its
+        leading ``j`` columns are final and orthonormal, and column ``j``
+        holds the provisional vector ``u_j``. The leading columns are also
+        the Krylov columns of the search basis.
     H : (m+1, m) array
-        Upper Hessenberg projection coefficients.
+        Upper Hessenberg projection coefficients once
+        :func:`finish_arnoldi` has run; during the steps, the raw
+        coefficients of each direction.
+    S : (m+1, m+1) array
+        Upper triangular coordinates of the provisional vectors in the
+        final basis, ``u_j = Q[:, :j+1] @ S[:j+1, j]``.
+
+    ``S`` and ``H`` are transposed views of one ``(m+1, m+1, 2)`` buffer
+    indexed by column first, so column ``j`` of both is one contiguous
+    block that a step's Gram product fills with one call.
     """
 
     def __init__(self, n, m):
         self.m = m
         self.Q = np.zeros((n, m + 1), order="F")
-        self.H = np.zeros((m + 1, m))
+        self._SH = np.zeros((m + 1, m + 1, 2))
+        self.S = self._SH[:, :, 0].T
+        self.H = self._SH[:m, :, 1].T
+        # the 2 x 2 map of each step's update; its (1, 0) entry stays 0
+        self._N = np.zeros((2, 2))
 
 
 def arnoldi_expand(A, workspace, j, direction):
-    """Orthogonalize one expansion direction and append column ``j``.
+    """Take one delayed classical Gram-Schmidt (DCGS2) step.
 
-    ``direction`` is ``A @ Q[:, j]`` for a Krylov step or the cached
-    product ``A @ y`` for an augmentation step. Classical Gram-Schmidt runs
-    twice against the whole basis ``Q[:, :j+1]``, each pass one pair of
-    matrix-vector products, and the two coefficient vectors are summed; two
-    passes keep the basis orthogonal to working accuracy (Giraud, Langou &
-    Rozloznik, 2005).
+    On entry ``Q[:, :j]`` is final and ``Q[:, j]`` holds the provisional
+    vector ``u_j``, which has had one classical Gram-Schmidt pass.
+    ``direction`` is ``A @ u_j`` for a Krylov step or the cached product
+    ``A @ y`` for an augmentation step; it is placed in ``Q[:, j+1]``. One
+    product ``Q[:, :j+2].T @ Q[:, j:j+2]`` and one product of ``Q[:, :j+2]``
+    with a two-column coefficient block then do two jobs: the second pass
+    that turns ``u_j`` into the final unit vector ``q_j``, and the first
+    pass of the direction against ``q_0 .. q_j``, whose remainder, divided
+    by the direction's norm, becomes ``u_{j+1}``. Each step thus reads the
+    basis twice where two full passes read it four times, and the basis
+    stays orthogonal to working accuracy as with two passes (Swirydowicz,
+    Langou, Ananthan, Yang & Thomas, Numer. Linear Algebra Appl. 2021;
+    Bielich, Langou, Thomas, Swirydowicz, Yamazaki & Boman, Parallel
+    Computing 2022). The norms and the coefficient on ``q_j`` come from the
+    Gram entries of the first product. Where cancellation would leave the
+    remainder's norm too few digits, the remainder is measured and
+    normalized instead, and that measurement decides breakdown.
+
+    Column ``j`` of ``S`` receives the coordinates of ``u_j``, and column
+    ``j`` of ``H`` the direction's coefficients on ``q_0 .. q_j`` with the
+    factor that divided its remainder below them; :func:`finish_arnoldi`
+    maps these to the Hessenberg factor once the last step is done.
 
     Returns ``True`` on happy breakdown, i.e. when the remainder is
     negligible and no new basis vector can be formed; the cycle then solves
@@ -77,22 +116,74 @@ def arnoldi_expand(A, workspace, j, direction):
     direction = np.asarray(direction, dtype=np.float64)
     if direction.shape != (A.n_rows,):
         raise ValueError("direction length does not match the matrix")
-    scale = math.sqrt(direction.dot(direction))
-    basis = ws.Q[:, : j + 1]
-    coeffs = basis.T @ direction
-    v = direction - basis @ coeffs
-    extra = basis.T @ v
-    v -= basis @ extra
-    coeffs += extra
-    remainder = math.sqrt(v.dot(v))
-    ws.H[: j + 1, j] = coeffs
-    ws.H[j + 1, j] = remainder
-    if remainder <= _BREAKDOWN_TOL * scale:
+    Q, N = ws.Q, ws._N
+    Q[:, j + 1] = direction
+    # P is column j of S and H: rows :j hold [s | z] = Q[:, :j].T @ [u_j | w],
+    # rows j and j+1 the Gram entries of u_j and w until they are overwritten
+    P = np.dot(Q[:, : j + 2].T, Q[:, j : j + 2], out=ws._SH[j, : j + 2])
+    (uu, uw), (_, ww) = P[j:].tolist()
+    (ss, sz), (_, zz) = P[:j].T.dot(P[:j]).tolist()
+    rho = math.sqrt(uu - ss)
+    h = (uw - sz) / rho
+    # |v|**2 = ww - zz - h**2 for the remainder v = w - Q[:, :j] @ z - h q_j, unless cancellation
+    # (or a non-finite entry) spoils it; a remainder shorter than 1e-4 |w| is always measured, so
+    # breakdown (below 1e-12 |w|) is decided on a measured norm
+    measured = not ww - zz - h * h > _PYTHAGORAS_TOL * ww
+    scale = 1.0 if measured else math.sqrt(ww)
+    # [q_j | v / scale] = ([u_j | w] - Q[:, :j] @ [s | z]) @ [[1/rho, -h/(rho scale)], [0, 1/scale]]
+    # is one product of Q[:, :j+2] with P @ N once rows j and j+1 of P read -I
+    P[j:] = _MINUS_EYE2
+    N[0, 0] = -1.0 / rho
+    N[0, 1] = h / (rho * scale)
+    N[1, 1] = -1.0 / scale
+    Q[:, j : j + 2] = P.dot(N).T.dot(Q[:, : j + 2].T).T
+    P[j, 0] = rho
+    P[j, 1] = h
+    P[j + 1, 1] = scale
+    if not measured:
+        return False
+    v = Q[:, j + 1]
+    remainder = P[j + 1, 1] = math.sqrt(v.dot(v))
+    if remainder <= _BREAKDOWN_TOL * math.sqrt(ww):
         # CycleResult.Q ends with this column; clear what an earlier cycle left
-        ws.Q[:, j + 1] = 0.0
+        v.fill(0.0)
         return True
-    np.divide(v, remainder, out=ws.Q[:, j + 1])
+    np.divide(v, remainder, out=v)
     return False
+
+
+def finish_arnoldi(workspace, p, n_krylov, breakdown):
+    """Finish the basis after ``p`` steps and map the raw coefficients to ``H``.
+
+    Without breakdown, one more classical Gram-Schmidt pass against
+    ``Q[:, :p]`` turns the provisional ``u_p`` into the final ``q_p``; on
+    breakdown ``Q[:, p]`` is already zero. Raw column ``i`` of ``H``
+    expanded its direction on ``q_0 .. q_i`` plus ``H[i+1, i]`` times
+    ``u_{i+1} = Q @ S[:, i+1]``, so substituting that column of ``S``
+    expresses it on the final basis. The first ``n_krylov`` directions were
+    ``A @ u_i = A @ Q @ S[:, i]``, so one triangular solve gives
+    ``A @ Q[:, :n_krylov] = Q @ H[:, :n_krylov]``; the augmentation columns
+    already express ``A @ y``. ``S`` and its inverse are upper triangular,
+    so ``H`` stays upper Hessenberg.
+    """
+    ws = workspace
+    Q, S = ws.Q, ws.S
+    if breakdown:
+        S[:p, p] = 0.0
+        S[p, p] = 1.0
+    else:
+        u = Q[:, p]
+        s = Q[:, :p].T.dot(u)
+        u -= Q[:, :p].dot(s)
+        S[:p, p] = s
+        S[p, p] = math.sqrt(u.dot(u))
+        np.divide(u, S[p, p], out=u)
+    H = ws.H[: p + 1, :p]
+    H += (S[: p + 1, 1 : p + 1] - np.eye(p + 1, p, -1)) * np.diagonal(H, -1)
+    kr = n_krylov
+    # every u_i is at least 1e-4 long and its components along the earlier q's are rounding
+    # errors, so S.T's diagonal dominates its columns: the LU swaps no rows and H keeps its zeros
+    H[:, :kr] = np.linalg.solve(S[:kr, :kr].T, H[:, :kr].T).T
 
 
 @dataclass
@@ -211,6 +302,7 @@ def run_cycle(A, b, x0, aug, workspace, r0=None):
             break
     p = j + 1
     n_matvecs = min(p, m - k)
+    finish_arnoldi(ws, p, n_matvecs, breakdown)
     while True:
         system = np.zeros((p + 1, p + 1))
         system[:, :p] = ws.H[: p + 1, :p]

@@ -133,7 +133,9 @@ class SolveReport:
     each with the cycle's own residual estimate. ``final_relres`` is the
     larger of the last estimate and the relative residual recomputed from
     ``x``, so a cycle whose estimate has drifted from its iterate, as on a
-    badly graded matrix, does not count as converged.
+    badly graded matrix, does not count as converged. When the residual
+    recomputed from ``x`` is exactly 0.0, so is ``final_relres``, and the
+    loop stops there.
     """
 
     x: np.ndarray
@@ -323,7 +325,9 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
         paper_mvp += result.n_matvecs
         true_mvp += result.n_matvecs + 1
         x, r = result.x_new, r_new
-        final_relres = max(result.relres, true_relres)
+        # a residual recomputed from x as exactly zero outranks the rotated-rhs estimate
+        exact = true_relres == 0.0
+        final_relres = 0.0 if exact else max(result.relres, true_relres)
         record.append(
             CycleEntry(
                 cycle=cycle,
@@ -335,11 +339,11 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
         )
         if on_cycle is not None:
             on_cycle(cycle, result)
-        if final_relres <= config.tol:
-            break
-        if true_relres == 0.0:
-            # b - A @ x is exactly zero: the next cycle would have no direction to start from
+        if exact:
+            # the next cycle would have no direction to start from
             logger.info("stopping at cycle %d: the iterate solves the system exactly", cycle)
+            break
+        if final_relres <= config.tol:
             break
         if result.relres <= config.tol:
             logger.info("cycle %d: the residual recomputed from x, %.3g, is above tol; continuing", cycle, true_relres)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import csr_from_dense, random_csr
 from gmres_sv.kernels import back_substitute, dense_lu_solve
-from gmres_sv.krylov import CycleWorkspace, arnoldi_expand, run_cycle
+from gmres_sv.krylov import CycleWorkspace, arnoldi_expand, finish_arnoldi, run_cycle
 from gmres_sv.solvers import AugmentationSet, extract_singular_directions
 from gmres_sv.sparse import gen_laplacian_1d, identity, spmv
 
@@ -18,23 +18,40 @@ def started(r0, m):
     return ws
 
 
+def expanded(A, ws, steps):
+    """Drive ``steps`` Krylov steps of ``arnoldi_expand`` and the finishing pass; return the breakdown flag."""
+    for j in range(steps):
+        breakdown = arnoldi_expand(A, ws, j, spmv(A, ws.Q[:, j]))
+        if breakdown:
+            break
+    finish_arnoldi(ws, j + 1, j + 1, breakdown)
+    return breakdown
+
+
+def assert_factorization(dense, W, Q, H, tol=1e-12):
+    """``Q`` orthonormal to ``tol`` and ``dense @ W = Q @ H`` to working accuracy."""
+    assert np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1]))) <= tol
+    fact_gap = np.linalg.norm(dense @ W - Q @ H)
+    assert fact_gap <= 1e-10 * np.linalg.norm(dense) * np.linalg.norm(W)
+
+
 class TestArnoldiExpand:
     def test_identity_breaks_down_immediately(self):
         A = identity(5)
         r0 = np.zeros(5)
         r0[0] = 1.0
         ws = started(r0, m=3)
-        broke = arnoldi_expand(A, ws, 0, spmv(A, ws.Q[:, 0]))
-        assert broke is True
+        assert expanded(A, ws, 3) is True
         assert ws.H[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert abs(ws.H[1, 0]) <= 1e-15
+        assert not ws.Q[:, 1].any()
 
     def test_symmetric_matrix_gives_tridiagonal_projection(self):
         A = gen_laplacian_1d(10)
         r0 = np.zeros(10)
         r0[0] = 1.0
         ws = started(r0, m=4)
-        for j in range(3):
-            assert arnoldi_expand(A, ws, j, spmv(A, ws.Q[:, j])) is False
+        assert expanded(A, ws, 3) is False
         assert abs(ws.H[0, 2]) <= 1e-12
 
     def test_workspace_invariants_on_random_matrix(self):
@@ -43,13 +60,9 @@ class TestArnoldiExpand:
         r0 = rng.standard_normal(50)
         m = 10
         ws = started(r0, m=m)
-        for j in range(m):
-            assert arnoldi_expand(A, ws, j, spmv(A, ws.Q[:, j])) is False
-        QtQ = ws.Q.T @ ws.Q
-        assert np.max(np.abs(QtQ - np.eye(m + 1))) <= 1e-10
-        W = ws.Q[:, :m]
-        fact_gap = np.linalg.norm(dense @ W - ws.Q @ ws.H)
-        assert fact_gap <= 1e-10 * np.linalg.norm(dense) * np.linalg.norm(W)
+        assert expanded(A, ws, m) is False
+        assert_factorization(dense, ws.Q[:, :m], ws.Q, ws.H, tol=1e-10)
+        assert np.array_equal(np.tril(ws.H, -2), np.zeros_like(ws.H))
         beta = np.linalg.norm(r0)
         e1 = np.zeros(m + 1)
         e1[0] = beta
@@ -57,19 +70,26 @@ class TestArnoldiExpand:
 
     def test_two_pass_orthogonality_on_graded_diagonal(self):
         # One classical Gram-Schmidt pass loses orthogonality to ~1e-8 on
-        # this spectrum; the second pass must restore it to working accuracy.
+        # this spectrum; the delayed second pass must restore it to working accuracy.
         dense = np.diag(np.logspace(0, 12, 100))
         A = csr_from_dense(dense)
         r0 = np.ones(100)
         m = 60
         ws = started(r0, m=m)
         assert ws.Q.flags.f_contiguous
-        for j in range(m):
-            assert arnoldi_expand(A, ws, j, spmv(A, ws.Q[:, j])) is False
-        assert np.max(np.abs(ws.Q.T @ ws.Q - np.eye(m + 1))) <= 1e-12
-        W = ws.Q[:, :m]
-        fact_gap = np.linalg.norm(dense @ W - ws.Q @ ws.H)
-        assert fact_gap <= 1e-10 * np.linalg.norm(dense) * np.linalg.norm(W)
+        assert expanded(A, ws, m) is False
+        assert_factorization(dense, ws.Q[:, :m], ws.Q, ws.H)
+
+    def test_augmented_cycle_on_graded_diagonal(self):
+        # The same spectrum through run_cycle with k = 4 carried directions,
+        # whose exact products enter as the last four steps.
+        dense = np.diag(np.logspace(0, 12, 100))
+        A = csr_from_dense(dense)
+        Y = np.random.default_rng(7).standard_normal((100, 4))
+        aug = AugmentationSet(Y=Y, AY=dense @ Y, sigma_sq=np.ones(4))
+        result = run_cycle(A, np.ones(100), np.zeros(100), aug, CycleWorkspace(100, 60))
+        assert result.split() == (56, 4)
+        assert_factorization(dense, result.W, result.Q, result.H)
 
 
 @st.composite
@@ -235,6 +255,56 @@ class TestSmallProblemAgainstLstsq:
             result = run_cycle(A, b, x, aug, ws)
             assert_matches_lstsq(result, x, b)
             if result.relres <= 1e-10:
+                break
+            x = result.x_new
+            aug = extract_singular_directions(result, k) if k else None
+
+
+def cgs2_cycle(A, b, x0, aug, m):
+    """Reference cycle: two full classical Gram-Schmidt passes per step, the small problem by ``lstsq``.
+
+    Takes the same expansion directions as ``run_cycle`` and assumes no breakdown; returns the new iterate.
+    """
+    r0 = b - spmv(A, x0)
+    beta = np.linalg.norm(r0)
+    Y = np.zeros((b.size, 0)) if aug is None else aug.Y
+    k = Y.shape[1]
+    Q, H = np.zeros((b.size, m + 1)), np.zeros((m + 1, m))
+    Q[:, 0] = r0 / beta
+    for j in range(m):
+        v = spmv(A, Q[:, j]) if j < m - k else aug.AY[:, j - (m - k)].copy()
+        for _ in range(2):
+            coeffs = Q[:, : j + 1].T @ v
+            v -= Q[:, : j + 1] @ coeffs
+            H[: j + 1, j] += coeffs
+        H[j + 1, j] = np.linalg.norm(v)
+        Q[:, j + 1] = v / H[j + 1, j]
+    d = np.linalg.lstsq(H, beta * np.eye(m + 1)[0], rcond=None)[0]
+    return x0 + np.hstack([Q[:, : m - k], Y]) @ d
+
+
+class TestCycleAgainstReference:
+    @settings(deadline=None, max_examples=150)
+    @given(cycle_runs())
+    def test_each_cycle_matches_two_pass_reference(self, case):
+        A, b, m, k, cycles = case
+        dense = np.column_stack([spmv(A, e) for e in np.eye(b.size)])
+        ws = CycleWorkspace(b.size, m)
+        x, aug = np.zeros(b.size), None
+        for _ in range(cycles):
+            result = run_cycle(A, b, x, aug, ws)
+            p = result.n_cols
+            breakdown = p < m or not result.Q[:, p].any()
+            # a zero last column after breakdown is not part of the basis
+            active = result.Q[:, : p + (not breakdown)]
+            assert np.max(np.abs(active.T @ active - np.eye(active.shape[1]))) <= 1e-12
+            W = result.W
+            assert np.linalg.norm(dense @ W - result.Q @ result.H) <= 1e-10 * np.linalg.norm(dense) * np.linalg.norm(W)
+            if not breakdown:
+                x_ref = cgs2_cycle(A, b, x, aug, m)
+                assert np.linalg.norm(result.x_new - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+            # a cycle after a solved one starts from rounding errors, and orders below m break down again
+            if not (b - spmv(A, result.x_new)).any():
                 break
             x = result.x_new
             aug = extract_singular_directions(result, k) if k else None

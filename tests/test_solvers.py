@@ -198,16 +198,17 @@ class TestSolve:
         assert len(report.record) == 0
 
     def test_exact_iterate_stops_the_loop(self, caplog):
-        # cycle 1 lands on x exactly while its rotated-rhs estimate reads 1.9e-17;
-        # a second cycle would start from a zero residual
+        # cycle 1 lands on x exactly while its rotated-rhs estimate stays positive, above tol;
+        # a second cycle would start from a zero residual, and the exact residual outranks the estimate
         A = csr_from_coo((np.arange(6), np.arange(6), [4.0, 4.0, 4.0, 2.0, 1.0, 3.0]), 6, 6)
         b = spmv(A, np.array([-2.0, 3.0, -2.0, 0.0, 0.0, 0.0]))
         with caplog.at_level("INFO", logger="gmres_sv.solvers"):
             report = solve(A, b, None, SolverConfig("hr", m=4, k=1, tol=1e-30, max_cycles=8))
         assert len(report.record) == 1
         assert not (b - spmv(A, report.x)).any()
-        assert report.final_relres == report.record[0].relres > 0.0
-        assert report.converged is False
+        assert report.record[0].relres > 1e-30
+        assert report.final_relres == 0.0
+        assert report.converged is True
         assert "solves the system exactly" in caplog.text
 
     def test_matvec_accounting_matches_convention(self):
