@@ -70,16 +70,30 @@ class CycleWorkspace:
     ``S`` and ``H`` are transposed views of one ``(m+1, m+1, 2)`` buffer
     indexed by column first, so column ``j`` of both is one contiguous
     block that a step's Gram product fills with one call.
+
+    The views that step ``j`` of :func:`arnoldi_expand` reads and writes
+    are built here, once per solve, as are the column views of ``Q`` that
+    :func:`run_cycle` hands :func:`~gmres_sv.sparse.spmv` as ``x`` and
+    ``out``. At short vectors a step does little arithmetic, so slicing the
+    same blocks anew at every step of every cycle would cost a noticeable
+    share of it.
     """
 
     def __init__(self, n, m):
         self.m = m
-        self.Q = np.zeros((n, m + 1), order="F")
-        self._SH = np.zeros((m + 1, m + 1, 2))
-        self.S = self._SH[:, :, 0].T
-        self.H = self._SH[:m, :, 1].T
+        self.Q = Q = np.zeros((n, m + 1), order="F")
+        self._SH = SH = np.zeros((m + 1, m + 1, 2))
+        self.S = SH[:, :, 0].T
+        self.H = SH[:m, :, 1].T
         # the 2 x 2 map of each step's update; its (1, 0) entry stays 0
         self._N = np.zeros((2, 2))
+        self._columns = [Q[:, j] for j in range(m + 1)]
+        # per step j: the next column Q[:, j+1], the panel Q[:, :j+2] transposed, the pair Q[:, j:j+2], and
+        # column j of S and H (P) with its rows :j and its rows j, j+1
+        self._steps = [
+            (self._columns[j + 1], Q[:, : j + 2].T, Q[:, j : j + 2], SH[j, : j + 2], SH[j, :j], SH[j, j : j + 2])
+            for j in range(m)
+        ]
 
 
 def arnoldi_expand(A, workspace, j, direction):
@@ -88,7 +102,9 @@ def arnoldi_expand(A, workspace, j, direction):
     On entry ``Q[:, :j]`` is final and ``Q[:, j]`` holds the provisional
     vector ``u_j``, which has had one classical Gram-Schmidt pass.
     ``direction`` is ``A @ u_j`` for a Krylov step or the cached product
-    ``A @ y`` for an augmentation step; it is placed in ``Q[:, j+1]``. One
+    ``A @ y`` for an augmentation step; it is copied into ``Q[:, j+1]``.
+    ``direction=None`` means the caller has already written it there, as
+    :func:`run_cycle` does with ``spmv(A, Q[:, j], out=Q[:, j+1])``. One
     product ``Q[:, :j+2].T @ Q[:, j:j+2]`` and one product of ``Q[:, :j+2]``
     with a two-column coefficient block then do two jobs: the second pass
     that turns ``u_j`` into the final unit vector ``q_j``, and the first
@@ -113,16 +129,18 @@ def arnoldi_expand(A, workspace, j, direction):
     with the columns accumulated so far.
     """
     ws = workspace
-    direction = np.asarray(direction, dtype=np.float64)
-    if direction.shape != (A.n_rows,):
-        raise ValueError("direction length does not match the matrix")
-    Q, N = ws.Q, ws._N
-    Q[:, j + 1] = direction
-    # P is column j of S and H: rows :j hold [s | z] = Q[:, :j].T @ [u_j | w],
-    # rows j and j+1 the Gram entries of u_j and w until they are overwritten
-    P = np.dot(Q[:, : j + 2].T, Q[:, j : j + 2], out=ws._SH[j, : j + 2])
-    (uu, uw), (_, ww) = P[j:].tolist()
-    (ss, sz), (_, zz) = P[:j].T.dot(P[:j]).tolist()
+    v, panel_T, pair, P, head, tail = ws._steps[j]
+    if direction is not None:
+        direction = np.asarray(direction, dtype=np.float64)
+        if direction.shape != (A.n_rows,):
+            raise ValueError("direction length does not match the matrix")
+        v[:] = direction
+    N = ws._N
+    # P is column j of S and H: rows :j (head) hold [s | z] = Q[:, :j].T @ [u_j | w],
+    # rows j and j+1 (tail) the Gram entries of u_j and w until they are overwritten
+    np.dot(panel_T, pair, out=P)
+    (uu, uw), (_, ww) = tail.tolist()
+    (ss, sz), (_, zz) = head.T.dot(head).tolist()
     rho = math.sqrt(uu - ss)
     h = (uw - sz) / rho
     # |v|**2 = ww - zz - h**2 for the remainder v = w - Q[:, :j] @ z - h q_j, unless cancellation
@@ -132,17 +150,16 @@ def arnoldi_expand(A, workspace, j, direction):
     scale = 1.0 if measured else math.sqrt(ww)
     # [q_j | v / scale] = ([u_j | w] - Q[:, :j] @ [s | z]) @ [[1/rho, -h/(rho scale)], [0, 1/scale]]
     # is one product of Q[:, :j+2] with P @ N once rows j and j+1 of P read -I
-    P[j:] = _MINUS_EYE2
+    tail[...] = _MINUS_EYE2
     N[0, 0] = -1.0 / rho
     N[0, 1] = h / (rho * scale)
     N[1, 1] = -1.0 / scale
-    Q[:, j : j + 2] = P.dot(N).T.dot(Q[:, : j + 2].T).T
+    pair[...] = P.dot(N).T.dot(panel_T).T
     P[j, 0] = rho
     P[j, 1] = h
     P[j + 1, 1] = scale
     if not measured:
         return False
-    v = Q[:, j + 1]
     remainder = P[j + 1, 1] = math.sqrt(v.dot(v))
     if remainder <= _BREAKDOWN_TOL * math.sqrt(ww):
         # CycleResult.Q ends with this column; clear what an earlier cycle left
@@ -292,9 +309,12 @@ def run_cycle(A, b, x0, aug, workspace, r0=None):
         raise ValueError("starting residual is zero; nothing to solve")
     ws.H.fill(0.0)
     np.divide(r0, beta, out=ws.Q[:, 0])
+    columns = ws._columns
     for j in range(m):
         if j < m - k:
-            direction = spmv(A, ws.Q[:, j])
+            # the product lands in the next basis column, where the step expects its direction
+            spmv(A, columns[j], out=columns[j + 1])
+            direction = None
         else:
             direction = aug.AY[:, j - (m - k)]
         breakdown = arnoldi_expand(A, ws, j, direction)

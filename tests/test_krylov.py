@@ -18,10 +18,19 @@ def started(r0, m):
     return ws
 
 
-def expanded(A, ws, steps):
-    """Drive ``steps`` Krylov steps of ``arnoldi_expand`` and the finishing pass; return the breakdown flag."""
+def expanded(A, ws, steps, in_place=False):
+    """Drive ``steps`` Krylov steps of ``arnoldi_expand`` and the finishing pass; return the breakdown flag.
+
+    ``in_place`` writes each product straight into the next basis column and
+    passes ``direction=None``, as ``run_cycle`` does; otherwise the step gets
+    an allocated product to copy.
+    """
     for j in range(steps):
-        breakdown = arnoldi_expand(A, ws, j, spmv(A, ws.Q[:, j]))
+        if in_place:
+            spmv(A, ws.Q[:, j], out=ws.Q[:, j + 1])
+            breakdown = arnoldi_expand(A, ws, j, None)
+        else:
+            breakdown = arnoldi_expand(A, ws, j, spmv(A, ws.Q[:, j]))
         if breakdown:
             break
     finish_arnoldi(ws, j + 1, j + 1, breakdown)
@@ -79,6 +88,29 @@ class TestArnoldiExpand:
         assert ws.Q.flags.f_contiguous
         assert expanded(A, ws, m) is False
         assert_factorization(dense, ws.Q[:, :m], ws.Q, ws.H)
+
+    @pytest.mark.parametrize("case", ["identity", "random", "graded"])
+    def test_product_in_place_matches_allocated_product(self, case):
+        # run_cycle's form must leave Q, S and H byte for byte as a copied direction does,
+        # also when the step breaks down or measures the remainder
+        rng = np.random.default_rng(3)
+        if case == "identity":
+            A, r0, m = identity(6), np.eye(6)[0], 4
+        elif case == "random":
+            A, _ = random_csr(rng, 50, 50, density=0.4, shift=4.0)
+            r0, m = rng.standard_normal(50), 10
+        else:
+            A, r0, m = csr_from_dense(np.diag(np.logspace(0, 12, 100))), np.ones(100), 60
+        runs = []
+        for in_place in (False, True):
+            ws = started(r0, m)
+            # stale values, as an earlier cycle leaves them, must not reach the result
+            ws.Q[:, 1:] = np.nan
+            runs.append((expanded(A, ws, m, in_place), ws))
+        (flag, ws), (flag_in_place, ws_in_place) = runs
+        assert flag == flag_in_place == (case == "identity")
+        for name in ("Q", "S", "H"):
+            assert getattr(ws, name).tobytes() == getattr(ws_in_place, name).tobytes()
 
     def test_augmented_cycle_on_graded_diagonal(self):
         # The same spectrum through run_cycle with k = 4 carried directions,
