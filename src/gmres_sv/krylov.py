@@ -73,8 +73,8 @@ class CycleWorkspace:
 
     The views that step ``j`` of :func:`arnoldi_expand` reads and writes
     are built here, once per solve, as are the column views of ``Q`` that
-    :func:`run_cycle` hands :func:`~gmres_sv.sparse.spmv` as ``x`` and
-    ``out``. At short vectors a step does little arithmetic, so slicing the
+    :func:`run_cycle` multiplies by the matrix and writes each product
+    into. At short vectors a step does little arithmetic, so slicing the
     same blocks anew at every step of every cycle would cost a noticeable
     share of it.
     """
@@ -103,8 +103,8 @@ def arnoldi_expand(A, workspace, j, direction):
     vector ``u_j``, which has had one classical Gram-Schmidt pass.
     ``direction`` is ``A @ u_j`` for a Krylov step or the cached product
     ``A @ y`` for an augmentation step; it is copied into ``Q[:, j+1]``.
-    ``direction=None`` means the caller has already written it there, as
-    :func:`run_cycle` does with ``spmv(A, Q[:, j], out=Q[:, j+1])``. One
+    ``direction=None`` means the caller has already copied it there, as
+    :func:`run_cycle` does with ``Q[:, j+1][...] = spmv(A, Q[:, j])``. One
     product ``Q[:, :j+2].T @ Q[:, j:j+2]`` and one product of ``Q[:, :j+2]``
     with a two-column coefficient block then do two jobs: the second pass
     that turns ``u_j`` into the final unit vector ``q_j``, and the first
@@ -312,8 +312,8 @@ def run_cycle(A, b, x0, aug, workspace, r0=None):
     columns = ws._columns
     for j in range(m):
         if j < m - k:
-            # the product lands in the next basis column, where the step expects its direction
-            spmv(A, columns[j], out=columns[j + 1])
+            # the product goes into the next basis column, where the step expects its direction
+            columns[j + 1][...] = spmv(A, columns[j])
             direction = None
         else:
             direction = aug.AY[:, j - (m - k)]
@@ -337,15 +337,11 @@ def run_cycle(A, b, x0, aug, workspace, r0=None):
             if not breakdown or p <= 1:
                 raise
             p -= 1
-    # x0 + W @ d, summed in the order of CycleResult.W_times
-    krylov = min(p, n_matvecs)
-    x_new = ws.Q[:, :krylov] @ d[:krylov]
-    if p > krylov:
-        x_new += Y[:, : p - krylov] @ d[krylov:]
-    x_new += x0
     bnorm = float(np.linalg.norm(b))
     relres = abs(float(rotated[p])) / bnorm if bnorm > 0.0 else 0.0
-    return CycleResult(
-        x_new=x_new, relres=relres, workspace=ws, R=R, rotated_rhs=rotated,
+    result = CycleResult(
+        x_new=None, relres=relres, workspace=ws, R=R, rotated_rhs=rotated,
         n_matvecs=n_matvecs, n_cols=p, Y=Y, beta=beta,
     )
+    result.x_new = result.W_times(d) + x0
+    return result

@@ -26,6 +26,7 @@ additionally charges the explicit restart residual computed each cycle.
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        for name in ("m", "k", "max_cycles"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if not 0 <= self.k < self.m:
             raise ValueError(f"need 0 <= k < m, got k={self.k}, m={self.m}")
         if self.variant == "plain" and self.k != 0:

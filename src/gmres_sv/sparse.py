@@ -225,8 +225,8 @@ def csr_from_coo(triples, n_rows, n_cols):
     return CsrMatrix(n_rows, n_cols, *_sum_duplicates(rows, cols, vals, n_rows, n_cols))
 
 
-def spmv(A, x, out=None):
-    """Sparse matrix-vector product ``A @ x``, written to ``out`` when given.
+def spmv(A, x):
+    """Sparse matrix-vector product ``A @ x``.
 
     On the diagonal layout each diagonal adds one contiguous slice product,
     in ascending offset order, which is each row's stored column order; so
@@ -235,36 +235,18 @@ def spmv(A, x, out=None):
     multiplies 0.0 by an entry of ``x`` in a column that row does not store,
     so where ``x`` holds an infinity the diagonal product can read NaN where
     the scatter gives a finite value.
-
-    ``out`` is a float64 vector of length ``n_rows``, such as a column view
-    of a basis; the product overwrites it and is returned, with the values
-    an allocated product would hold. The diagonal layout zeroes ``out``
-    before it sums into it, so an ``out`` that may share memory with ``x``
-    is refused with ``ValueError``, as is one of the wrong shape or dtype.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.n_cols,):
         raise ValueError(f"vector length {x.shape} does not match matrix shape {A.shape}")
-    if out is not None:
-        if not isinstance(out, np.ndarray) or out.shape != (A.n_rows,) or out.dtype != np.float64:
-            raise ValueError(f"out must be a float64 vector of length {A.n_rows}")
-        if np.may_share_memory(out, x):
-            raise ValueError("out may share memory with x")
     if A._dia is None:
-        y = np.bincount(A._coo_rows, weights=A.values * x[A.col_idx], minlength=A.n_rows)
-        if out is None:
-            return y
-        out[...] = y
-        return out
-    if out is None:
-        out = np.zeros(A.n_rows)
-    else:
-        out.fill(0.0)
+        return np.bincount(A._coo_rows, weights=A.values * x[A.col_idx], minlength=A.n_rows)
+    product = np.zeros(A.n_rows)
     for rows, vals, cols in A._dia:
-        # an in-place add on the slice view; ``out[rows] += ...`` would also assign the slice back
-        y = out[rows]
+        # an in-place add on the slice view; ``product[rows] += ...`` would also assign the slice back
+        y = product[rows]
         y += vals * x[cols]
-    return out
+    return product
 
 
 def _banded(n, diagonals):

@@ -21,13 +21,13 @@ def started(r0, m):
 def expanded(A, ws, steps, in_place=False):
     """Drive ``steps`` Krylov steps of ``arnoldi_expand`` and the finishing pass; return the breakdown flag.
 
-    ``in_place`` writes each product straight into the next basis column and
-    passes ``direction=None``, as ``run_cycle`` does; otherwise the step gets
-    an allocated product to copy.
+    ``in_place`` copies each product into the next basis column and passes
+    ``direction=None``, as ``run_cycle`` does; otherwise the step gets the
+    allocated product to copy.
     """
     for j in range(steps):
         if in_place:
-            spmv(A, ws.Q[:, j], out=ws.Q[:, j + 1])
+            ws.Q[:, j + 1] = spmv(A, ws.Q[:, j])
             breakdown = arnoldi_expand(A, ws, j, None)
         else:
             breakdown = arnoldi_expand(A, ws, j, spmv(A, ws.Q[:, j]))

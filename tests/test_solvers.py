@@ -40,6 +40,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             SolverConfig("sv", m=5, k=1, tol=tol)
 
+    @pytest.mark.parametrize("field", [{"m": 10.5}, {"k": 2.0}, {"max_cycles": 2.5}])
+    def test_integer_sizes(self, field):
+        # a float fails later with a TypeError from slicing or range; numpy integers are integers
+        args = {"m": 10, "k": 2, "max_cycles": 3}
+        with pytest.raises(ValueError, match=f"{next(iter(field))} must be an integer"):
+            SolverConfig("sv", **(args | field))
+        assert SolverConfig("sv", **{name: np.int64(value) for name, value in args.items()}).m == 10
+
 
 class TestExtractSingularDirections:
     def test_identity_matrix_gives_unit_values(self):
