@@ -212,12 +212,12 @@ def _build_parser():
     run_p = sub.add_parser("run", help="run a preset or a single configured solve")
     run_p.add_argument("--preset", help="name of a built-in experiment preset")
     run_p.add_argument("--matrix", help="gen:laplacian1d:N | gen:bidiag:N:S | gen:eye:N | MM file path")
-    run_p.add_argument("--rhs", default="ones", help="ones | e1en | MM vector file path")
+    run_p.add_argument("--rhs", help="ones | e1en | MM vector file path (default: ones)")
     run_p.add_argument("--variant", choices=VARIANTS, help="solver variant")
     run_p.add_argument("--m", type=int, help="search-space dimension per cycle")
-    run_p.add_argument("--k", type=int, default=0, help="carried directions per cycle")
-    run_p.add_argument("--tol", type=float, default=1e-8, help="relative residual target")
-    run_p.add_argument("--max-cycles", type=int, default=300, help="restart budget")
+    run_p.add_argument("--k", type=int, help="carried directions per cycle (default: 0)")
+    run_p.add_argument("--tol", type=float, help="relative residual target (default: 1e-8)")
+    run_p.add_argument("--max-cycles", type=int, help="restart budget (default: 300)")
     run_p.add_argument("--out", help="CSV output path (default: stdout)")
     run_p.add_argument("--strict", action="store_true", help="exit 2 when a variant does not converge")
 
@@ -232,6 +232,11 @@ def _build_parser():
 
 def _cmd_run(args):
     if args.preset:
+        flags = ("matrix", "rhs", "variant", "m", "k", "tol", "max_cycles")
+        given = [f"--{name.replace('_', '-')}" for name in flags if getattr(args, name) is not None]
+        if given:
+            print(f"--preset cannot be combined with {', '.join(given)}", file=sys.stderr)
+            return 1
         if args.preset not in PRESETS:
             print(f"unknown preset {args.preset!r}; try: {', '.join(sorted(PRESETS))}", file=sys.stderr)
             return 1
@@ -240,12 +245,14 @@ def _cmd_run(args):
         if not args.matrix or not args.variant or args.m is None:
             print("either --preset or all of --matrix/--variant/--m are required", file=sys.stderr)
             return 1
+        k = 0 if args.k is None else args.k
+        max_cycles = 300 if args.max_cycles is None else args.max_cycles
         preset = ExperimentPreset(
             name="custom",
             matrix=args.matrix,
-            rhs=args.rhs,
-            variants=[VariantSpec(args.variant, m=args.m, k=args.k, max_cycles=args.max_cycles)],
-            tol=args.tol,
+            rhs="ones" if args.rhs is None else args.rhs,
+            variants=[VariantSpec(args.variant, m=args.m, k=k, max_cycles=max_cycles)],
+            tol=1e-8 if args.tol is None else args.tol,
         )
     csv_text, all_converged = run_experiment(preset)
     if args.out:

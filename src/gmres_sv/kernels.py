@@ -71,25 +71,12 @@ def back_substitute(R, g):
         raise SingularSystemError(str(exc)) from None
 
 
-def _fix_signs(vectors):
-    """Flip columns so the first component above 1e-12 in magnitude is positive.
-
-    Columns with no such component are left as they are.
-    """
-    big = np.abs(vectors) > 1e-12
-    lead = vectors[np.argmax(big, axis=0), np.arange(vectors.shape[1])]
-    flip = big.any(axis=0) & (lead < 0.0)
-    vectors[:, flip] = -vectors[:, flip]
-    return vectors
-
-
 def sym_eig_smallest(G, k):
     """Eigenpairs of a symmetric matrix by LAPACK's symmetric eigensolver.
 
     Returns the ``k`` algebraically smallest eigenvalues in ascending order
-    and the matching orthonormal eigenvectors as columns, computed by
-    ``numpy.linalg.eigh`` on the symmetric part of ``G``. Eigenvector signs
-    are fixed so the first non-negligible component is positive.
+    and the matching orthonormal eigenvectors as columns, their signs
+    LAPACK's, computed by ``numpy.linalg.eigh`` on the symmetric part of ``G``.
     """
     G = np.asarray(G, dtype=np.float64)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
@@ -101,7 +88,7 @@ def sym_eig_smallest(G, k):
     if np.linalg.norm(G - G.T) > 1e-12 * max(fro, 1e-300):
         raise ValueError("matrix is not symmetric to working accuracy")
     values, vectors = np.linalg.eigh(0.5 * (G + G.T))
-    return values[:k], _fix_signs(vectors[:, :k])
+    return values[:k], vectors[:, :k]
 
 
 def gen_eig_largest_magnitude(G, F, k):
@@ -111,8 +98,8 @@ def gen_eig_largest_magnitude(G, F, k):
     filters out genuinely complex pairs as well as pairs whose pencil
     residual is out of tolerance, so fewer than ``k`` pairs may come back;
     callers fill the deficit. The pairs that remain come back in ascending
-    magnitude. Raises :class:`PencilConditionError` when ``F`` is near
-    singular.
+    magnitude, as unit vectors whose signs are LAPACK's. Raises
+    :class:`PencilConditionError` when ``F`` is near singular.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -140,7 +127,7 @@ def gen_eig_largest_magnitude(G, F, k):
         thetas.size - accurate.size,
     )
     kept = accurate[-k:]
-    return thetas[kept], _fix_signs(vectors[:, kept])
+    return thetas[kept], vectors[:, kept]
 
 
 def dense_lu_solve(A_dense, b):

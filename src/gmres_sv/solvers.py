@@ -26,6 +26,7 @@ additionally charges the explicit restart residual computed each cycle.
 
 import logging
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -114,7 +115,7 @@ class SolverConfig:
             raise ValueError(f"need 0 <= k < m, got k={self.k}, m={self.m}")
         if self.variant == "plain" and self.k != 0:
             raise ValueError("plain restarts do not carry directions; set k=0")
-        if not 0.0 < self.tol < math.inf:
+        if not (isinstance(self.tol, numbers.Real) and 0.0 < self.tol < math.inf):
             raise ValueError("tolerance must be positive and finite")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be at least 1")

@@ -162,6 +162,11 @@ class TestRunExperiment:
             run_experiment(preset)
 
 
+def test_preset_needs_a_variant():
+    with pytest.raises(ValueError, match="at least one variant"):
+        ExperimentPreset("empty", "gen:eye:3", "ones", [])
+
+
 class TestReferenceSolution:
     def count_dense_calls(self, monkeypatch):
         calls = []
@@ -291,6 +296,16 @@ class TestMain:
         code = cli.main(["run", "--matrix", "does/not/exist.mtx", "--variant", "plain", "--m", "5"])
         assert code == 1
         assert "does/not/exist.mtx" in capsys.readouterr().err
+
+    def test_preset_rejects_solver_flags(self, tmp_path, capsys):
+        args = ["run", "--preset", "identity-10", "--tol", "1e-3", "--m", "2", "--variant", "sv", "--k", "1"]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "--preset cannot be combined with --variant, --m, --k, --tol\n"
+        assert captured.out == ""
+        out = tmp_path / "history.csv"
+        assert cli.main(["run", "--preset", "identity-10", "--out", str(out), "--strict"]) == 0
+        assert parse_csv(out.read_text())[0]["experiment"] == "identity-10"
 
     def test_unknown_preset(self, capsys):
         assert cli.main(["run", "--preset", "nope"]) == 1

@@ -269,6 +269,16 @@ class TestRunCycle:
         with pytest.raises(ValueError):
             run_cycle(A, np.ones(4), np.zeros(4), aug, CycleWorkspace(4, 2))
 
+    @pytest.mark.parametrize("r0_len, y_len", [(3, 4), (4, 3)], ids=["r0", "Y"])
+    def test_vector_length_must_match_the_workspace(self, r0_len, y_len):
+        aug = AugmentationSet(Y=np.ones((y_len, 1)), AY=np.ones((y_len, 1)), sigma_sq=np.ones(1))
+        with pytest.raises(ValueError, match="vector length does not match the workspace"):
+            run_cycle(identity(4), np.ones(4), np.zeros(4), aug, CycleWorkspace(4, 2), r0=np.ones(r0_len))
+
+    def test_direction_length_must_match_the_matrix(self):
+        with pytest.raises(ValueError, match="direction length does not match the matrix"):
+            arnoldi_expand(identity(4), started(np.ones(4), 2), 0, np.ones(3))
+
     def test_zero_starting_residual_rejected(self):
         A = identity(3)
         b = np.ones(3)

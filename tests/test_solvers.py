@@ -35,10 +35,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig("sv", m=5, k=5)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan, "1e-8", None])
     def test_positive_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             SolverConfig("sv", m=5, k=1, tol=tol)
+        assert SolverConfig("sv", m=5, k=1, tol=np.float64(1e-8)).tol == 1e-8
+
+    @pytest.mark.parametrize(
+        "field, message", [({"variant": "cg"}, "variant must be one of"), ({"max_cycles": 0}, "at least 1")]
+    )
+    def test_variant_and_budget(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**({"variant": "sv", "m": 5, "k": 1} | field))
 
     @pytest.mark.parametrize("field", [{"m": 10.5}, {"k": 2.0}, {"max_cycles": 2.5}])
     def test_integer_sizes(self, field):
@@ -47,6 +55,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=f"{next(iter(field))} must be an integer"):
             SolverConfig("sv", **(args | field))
         assert SolverConfig("sv", **{name: np.int64(value) for name, value in args.items()}).m == 10
+
+
+@pytest.mark.parametrize(
+    "shapes, message", [([(4, 2), (4, 1), (2,)], "identical shapes"), ([(4, 2), (4, 2), (1,)], "sigma_sq length")]
+)
+def test_augmentation_set_shapes_checked(shapes, message):
+    with pytest.raises(ValueError, match=message):
+        AugmentationSet(*(np.ones(shape) for shape in shapes))
 
 
 class TestExtractSingularDirections:
