@@ -6,7 +6,10 @@ O(n w**2) for a band of width w, and :func:`dense_lu_solve`, O(n**3). All
 functions are pure and safe to call concurrently on distinct data.
 
 A restart cycle solves its small least-squares problem with one LAPACK QR
-and :func:`back_substitute`.
+and :func:`back_substitute`. The same triangular factor ``R``, whose diagonal
+:func:`back_substitute` has checked, turns the harmonic pencil
+``(R.T @ R) g = theta F g`` into the standard eigenproblem that
+:func:`gen_eig_largest_magnitude` solves.
 """
 
 import logging
@@ -15,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "SingularSystemError",
-    "PencilConditionError",
     "back_substitute",
     "sym_eig_smallest",
     "gen_eig_largest_magnitude",
@@ -29,8 +31,6 @@ logger = logging.getLogger(__name__)
 DENSE_SOLVE_CAP = 5000
 
 _SINGULAR_DIAG_TOL = 1e-14
-_PENCIL_COND_LIMIT = 1e12
-_PENCIL_RESIDUAL_TOL = 1e-8
 _COMPLEX_DISCARD_TOL = 1e-10
 # Columns per band QR block unless the band is wider. With kl + ku = 2, refined solves took 8.8 / 6.5 / 7.0 /
 # 12.9 ms at order 1000 and 43.8 / 32.3 / 34.3 / 62.5 ms at 5000 for 16 / 32 / 64 / 128 (2-core Xeon, 1 thread).
@@ -39,14 +39,6 @@ _BAND_BLOCK = 32
 
 class SingularSystemError(RuntimeError):
     """A triangular or square solve hit a (near-)zero pivot."""
-
-
-class PencilConditionError(RuntimeError):
-    """The pencil's right-hand matrix is too ill-conditioned to invert.
-
-    Callers treat this as a skip signal and fall back to an unaugmented
-    cycle rather than aborting the solve.
-    """
 
 
 def back_substitute(R, g):
@@ -91,43 +83,42 @@ def sym_eig_smallest(G, k):
     return values[:k], vectors[:, :k]
 
 
-def gen_eig_largest_magnitude(G, F, k):
-    """Up to ``k`` largest-magnitude real eigenpairs of ``G g = theta F g``.
+def gen_eig_largest_magnitude(R, F, k):
+    """Up to ``k`` largest-magnitude real eigenpairs of ``(R.T @ R) g = theta F g``.
 
-    Reduces to the standard problem ``inv(F) @ G`` through an LU solve and
-    filters out genuinely complex pairs as well as pairs whose pencil
-    residual is out of tolerance, so fewer than ``k`` pairs may come back;
-    callers fill the deficit. The pairs that remain come back in ascending
-    magnitude, as unit vectors whose signs are LAPACK's. Raises
-    :class:`PencilConditionError` when ``F`` is near singular.
+    ``R`` is a nonsingular upper-triangular factor, so the pencil is the
+    standard problem ``M z = mu z`` with ``M = inv(R).T @ F @ inv(R)``,
+    ``mu = 1 / theta`` and ``g = inv(R) @ z``. One LAPACK inverse of ``R``
+    (a triangular solve against ``I``, as no row is exchanged) forms ``M``
+    and one ``eig`` call returns its pairs. Pairs with ``|mu| <= p eps
+    ||M||_F`` have an infinite ``theta`` and are dropped, as are genuinely
+    complex pairs, so fewer than ``k`` pairs may come back; callers fill the
+    deficit. The pairs that remain come back in ascending magnitude, as unit
+    vectors whose signs are LAPACK's.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    G = np.asarray(G, dtype=np.float64)
+    R = np.asarray(R, dtype=np.float64)
     F = np.asarray(F, dtype=np.float64)
-    if G.shape != F.shape or G.ndim != 2 or G.shape[0] != G.shape[1]:
+    if R.shape != F.shape or R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise ValueError("pencil matrices must be square and of equal shape")
-    cond = np.linalg.cond(F)
-    if not np.isfinite(cond) or cond >= _PENCIL_COND_LIMIT:
-        raise PencilConditionError(f"condition estimate {cond:.2e} exceeds {_PENCIL_COND_LIMIT:.0e}")
-    M = np.linalg.solve(F, G)
-    eigvals, eigvecs = np.linalg.eig(M)
-    order = np.argsort(np.abs(eigvals), kind="stable")
-    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    real = ~(np.abs(eigvals.imag) > _COMPLEX_DISCARD_TOL * np.abs(eigvals.real))
-    # geev returns unit vectors whose largest component is real, so no real part is zero
-    thetas, vectors = eigvals.real[real], eigvecs.real[:, real]
+    # Powers of two bring R and F near 1 exactly, so that on a badly scaled
+    # system neither M nor inv(R) @ z over- or underflows.
+    er, ef = np.frexp([np.abs(R).max(), np.abs(F).max()])[1]
+    R_inv = np.linalg.inv(np.ldexp(R, -er))
+    M = R_inv.T @ np.ldexp(F, -ef) @ R_inv
+    mus, zs = np.linalg.eig(M)
+    finite = np.flatnonzero(np.abs(mus) > R.shape[0] * np.finfo(np.float64).eps * float(np.linalg.norm(M)))
+    thetas = np.ldexp(1.0, 2 * er - ef) / mus[finite]
+    order = np.argsort(np.abs(thetas), kind="stable")
+    thetas, finite = thetas[order], finite[order]
+    real = ~(np.abs(thetas.imag) > _COMPLEX_DISCARD_TOL * np.abs(thetas.real))
+    logger.debug("pencil pairs discarded: %d infinite, %d complex", mus.size - finite.size, np.count_nonzero(~real))
+    kept = finite[real][-k:]
+    # geev returns unit vectors whose largest component is real, so no real part, nor its image, is zero
+    vectors = (R_inv @ zs.real)[:, kept]
     vectors /= np.linalg.norm(vectors, axis=0)
-    residuals = np.linalg.norm(G @ vectors - thetas * (F @ vectors), axis=0)
-    bounds = _PENCIL_RESIDUAL_TOL * (float(np.linalg.norm(G)) + np.abs(thetas) * float(np.linalg.norm(F)))
-    accurate = np.flatnonzero(~(residuals > bounds))
-    logger.debug(
-        "pencil pairs discarded: %d complex, %d residuals out of tolerance",
-        np.count_nonzero(~real),
-        thetas.size - accurate.size,
-    )
-    kept = accurate[-k:]
-    return thetas[kept], vectors[:, kept]
+    return thetas.real[real][-k:], vectors
 
 
 def dense_lu_solve(A_dense, b):

@@ -35,7 +35,7 @@ import numpy as np
 from .kernels import SingularSystemError, back_substitute
 from .sparse import spmv
 
-# Placeholders for the deleted Givens kernels, which perfbench's tracer rebinds; ROADMAP item 3 removes them.
+# Placeholders for the deleted Givens kernels, which perfbench's tracer rebinds; ROADMAP item 4 removes them.
 apply_chain = givens_qr_hessenberg = None
 
 __all__ = ["CycleWorkspace", "CycleResult", "arnoldi_expand", "finish_arnoldi", "run_cycle"]

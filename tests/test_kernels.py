@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from conftest import csr_from_dense
 from gmres_sv.kernels import (
-    PencilConditionError,
     SingularSystemError,
     back_substitute,
     band_qr_solve,
@@ -94,12 +93,16 @@ class TestSymEigSmallest:
             sym_eig_smallest(np.eye(3), 4)
 
 
+def random_factor(rng, m):
+    """Upper-triangular ``m x m`` factor whose diagonal entries lie in +-[1, 2]."""
+    return np.triu(rng.standard_normal((m, m)), 1) + np.diag(rng.choice([-1.0, 1.0], m) * rng.uniform(1.0, 2.0, m))
+
+
 class TestGeneralizedPencil:
     def test_identity_right_side_reduces_to_symmetric(self):
-        rng = np.random.default_rng(6)
-        G = rng.standard_normal((6, 6))
-        G = G.T @ G
-        values, vectors = gen_eig_largest_magnitude(G, np.eye(6), 3)
+        R = random_factor(np.random.default_rng(6), 6)
+        G = R.T @ R
+        values, vectors = gen_eig_largest_magnitude(R, np.eye(6), 3)
         # G is positive definite, so its largest-magnitude end is its top end
         ref_vals, ref_vecs = np.linalg.eigh(G)
         ref_vals, ref_vecs = ref_vals[-3:], ref_vecs[:, -3:]
@@ -108,78 +111,91 @@ class TestGeneralizedPencil:
             assert abs(abs(vectors[:, i] @ ref_vecs[:, i]) - 1.0) <= 1e-8
 
     def test_diagonal_pencil_hand_solution(self):
-        # thetas 2, 3 and 1: the two largest come back in ascending order
-        G = np.diag([4.0, 9.0, 1.0])
-        F = np.diag([2.0, 3.0, 1.0])
-        values, vectors = gen_eig_largest_magnitude(G, F, 2)
+        # G = diag(4, 9, 1) over F = diag(2, 3, 1): thetas 2, 3 and 1; the two largest come back in ascending order
+        values, vectors = gen_eig_largest_magnitude(np.diag([2.0, 3.0, 1.0]), np.diag([2.0, 3.0, 1.0]), 2)
         assert_allclose(values, [2.0, 3.0], atol=1e-12)
         assert_allclose(np.abs(vectors), np.eye(3, 2), atol=1e-12)
 
     def test_largest_magnitude_selection(self):
-        G = np.diag([4.0, 9.0, 25.0])
-        F = np.diag([2.0, 3.0, 5.0])
-        values, _ = gen_eig_largest_magnitude(G, F, 2)
+        values, _ = gen_eig_largest_magnitude(np.diag([2.0, 3.0, 5.0]), np.diag([2.0, 3.0, 5.0]), 2)
         assert_allclose(sorted(values), [3.0, 5.0], atol=1e-12)
 
     def test_residual_bound_on_random_pencils(self):
+        # the pencil residual of every returned pair, which no filter in the kernel checks
         rng = np.random.default_rng(23)
         for _ in range(200):
             m = int(rng.integers(2, 12))
-            G = rng.standard_normal((m, m))
-            G = G.T @ G
+            R = random_factor(rng, m)
+            G = R.T @ R
             F = rng.standard_normal((m, m)) + m * np.eye(m)
             k = int(rng.integers(1, m + 1))
-            values, vectors = gen_eig_largest_magnitude(G, F, k)
+            values, vectors = gen_eig_largest_magnitude(R, F, k)
             for i in range(values.size):
                 res = np.linalg.norm(G @ vectors[:, i] - values[i] * (F @ vectors[:, i]))
                 bound = 1e-8 * (np.linalg.norm(G) + abs(values[i]) * np.linalg.norm(F))
                 assert res <= bound
                 assert abs(np.linalg.norm(vectors[:, i]) - 1.0) <= 1e-12
 
-    def test_near_singular_pencil_rejected(self):
-        G = np.eye(3)
-        F = np.diag([1.0, 1.0, 1e-15])
-        with pytest.raises(PencilConditionError):
-            gen_eig_largest_magnitude(G, F, 1)
+    # With R = I, mu = 1 / theta are F's diagonal entries, and a pair is dropped when
+    # |mu| <= 3 eps ||F||_F = 9.4e-16: theta = 1e16 and theta = inf go, theta = 1e15 stays.
+    @pytest.mark.parametrize(
+        "tiny, expected",
+        [(1e-16, [1.0, 1.0]), (0.0, [1.0, 1.0]), (1e-15, [1.0, 1.0, 1e15])],
+        ids=["theta-1e16", "theta-inf", "theta-1e15-kept"],
+    )
+    def test_infinite_theta_pairs_dropped(self, tiny, expected):
+        values, vectors = gen_eig_largest_magnitude(np.eye(3), np.diag([1.0, 1.0, tiny]), 3)
+        assert_allclose(values, expected, rtol=1e-15)
+        assert_allclose(np.abs(vectors), np.eye(3, len(expected)), atol=0)
+
+    def test_singular_factor_rejected(self):
+        # R = 0 makes G = 0: every theta is 0 and every mu = 1 / theta infinite, so M does not exist
+        with pytest.raises(np.linalg.LinAlgError):
+            gen_eig_largest_magnitude(np.zeros((2, 2)), np.eye(2), 2)
+
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_power_of_two_scaling_is_exact(self, exponent):
+        # (s R, s F) has thetas s theta; unscaled, its M or inv(R) @ z would leave the float range
+        rng = np.random.default_rng(8)
+        R, F = random_factor(rng, 6), rng.standard_normal((6, 6)) + 6 * np.eye(6)
+        values, vectors = gen_eig_largest_magnitude(R, F, 3)
+        s = 2.0**exponent
+        scaled_values, scaled_vectors = gen_eig_largest_magnitude(s * R, s * F, 3)
+        assert values.size == 3
+        assert np.array_equal(scaled_values, s * values)
+        assert np.array_equal(scaled_vectors, vectors)
 
     def test_complex_pair_discarded(self):
-        # the rotation block has eigenvalues +-i; only theta = 3 is real
-        G = np.zeros((3, 3))
-        G[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
-        G[2, 2] = 3.0
-        values, vectors = gen_eig_largest_magnitude(G, np.eye(3), 3)
+        # M = F: the rotation block has mu = +-i, so theta = -+i; only theta = 3 is real
+        values, vectors = gen_eig_largest_magnitude(*ROTATION_PENCIL)
         assert_allclose(values, [3.0], atol=1e-12)
         assert_allclose(np.abs(vectors), np.eye(3)[:, 2:], atol=1e-12)
 
 
-def pencil_reference(G, F, k):
+def pencil_reference(R, F, k):
     """Per-pair loop with the filters that ``gen_eig_largest_magnitude`` must reproduce."""
-    cond = np.linalg.cond(F)
-    if not np.isfinite(cond) or cond >= 1e12:
-        raise PencilConditionError("reference")
-    eigvals, eigvecs = np.linalg.eig(np.linalg.solve(F, G))
-    g_fro, f_fro = np.linalg.norm(G), np.linalg.norm(F)
-    thetas, vectors = [], []
-    for i in np.argsort(np.abs(eigvals), kind="stable"):
-        theta = eigvals[i]
-        if abs(theta.imag) > 1e-10 * abs(theta.real):
+    er, ef = np.frexp([np.abs(R).max(), np.abs(F).max()])[1]
+    R_inv = np.linalg.inv(np.ldexp(R, -er))
+    M = R_inv.T @ np.ldexp(F, -ef) @ R_inv
+    mus, zs = np.linalg.eig(M)
+    gs = R_inv @ zs.real
+    bound = R.shape[0] * np.finfo(np.float64).eps * np.linalg.norm(M)
+    pairs = []
+    for i in range(mus.size):
+        if abs(mus[i]) <= bound:
             continue
-        vec = np.real(eigvecs[:, i])
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
+        theta = np.ldexp(1.0, 2 * er - ef) / mus[i : i + 1]
+        if abs(theta.imag[0]) > 1e-10 * abs(theta.real[0]):
             continue
-        vec = vec / norm
-        theta = float(theta.real)
-        if np.linalg.norm(G @ vec - theta * (F @ vec)) > 1e-8 * (g_fro + abs(theta) * f_fro):
-            continue
-        thetas.append(theta)
-        vectors.append(vec)
-    if not thetas:
-        return np.zeros(0), np.zeros((G.shape[0], 0))
-    return np.array(thetas[-k:]), np.column_stack(vectors[-k:])
+        pairs.append((abs(theta[0]), float(theta.real[0]), gs[:, i] / np.linalg.norm(gs[:, i])))
+    pairs = sorted(pairs, key=lambda pair: pair[0])[-k:]
+    if not pairs:
+        return np.zeros(0), np.zeros((R.shape[0], 0))
+    return np.array([theta for _, theta, _ in pairs]), np.column_stack([vec for *_, vec in pairs])
 
 
 ENTRIES = st.floats(-4.0, 4.0, allow_subnormal=False) | st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12, -2e-12])
+DIAGONAL = st.floats(0.5, 4.0) | st.floats(-4.0, -0.5)
 
 
 def square(draw, m):
@@ -189,34 +205,30 @@ def square(draw, m):
 @st.composite
 def pencils(draw):
     m = draw(st.integers(1, 8))
-    G = square(draw, m)
-    if m >= 2 and draw(st.booleans()):
-        # a rotation block with eigenvalues +-i, decoupled from the rest
-        i = draw(st.integers(0, m - 2))
-        G[i : i + 2, :] = 0.0
-        G[:, i : i + 2] = 0.0
-        G[i, i + 1], G[i + 1, i] = -1.0, 1.0
+    R = np.triu(square(draw, m), 1) + np.diag(draw(st.lists(DIAGONAL, min_size=m, max_size=m)))
     F = np.eye(m) if draw(st.booleans()) else square(draw, m) + draw(st.sampled_from([0.0, 2.0, 8.0])) * np.eye(m)
-    return G, F, draw(st.integers(1, m))
+    if m >= 2 and draw(st.booleans()):
+        # a rotation block, decoupled from the rest, whose mu are +-i when R = I
+        i = draw(st.integers(0, m - 2))
+        F[i : i + 2, :] = 0.0
+        F[:, i : i + 2] = 0.0
+        F[i, i + 1], F[i + 1, i] = 1.0, -1.0
+    return R, F, draw(st.integers(1, m))
 
 
-ROTATION_PENCIL = (np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]]), np.eye(3), 3)
+ROTATION_PENCIL = (np.eye(3), np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0 / 3.0]]), 3)
 
 
 class TestWholeArrayKernelsMatchLoops:
     @settings(deadline=None, max_examples=200)
     @example(ROTATION_PENCIL)
-    @example((np.zeros((2, 2)), np.eye(2), 2))
+    # F = 0: every mu is 0 and every theta infinite, so no pair comes back
+    @example((np.eye(2), np.zeros((2, 2)), 2))
     @given(pencils())
     def test_pencil_filters(self, pencil):
-        G, F, k = pencil
-        try:
-            ref_thetas, ref_vectors = pencil_reference(G, F, k)
-        except PencilConditionError:
-            with pytest.raises(PencilConditionError):
-                gen_eig_largest_magnitude(G, F, k)
-            return
-        thetas, vectors = gen_eig_largest_magnitude(G, F, k)
+        R, F, k = pencil
+        ref_thetas, ref_vectors = pencil_reference(R, F, k)
+        thetas, vectors = gen_eig_largest_magnitude(R, F, k)
         assert np.array_equal(thetas, ref_thetas)
         assert vectors.shape == ref_vectors.shape
         assert np.all(np.abs(vectors - ref_vectors) <= 1e-15)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import csr_from_dense, random_csr
+from gmres_sv.kernels import gen_eig_largest_magnitude
 from gmres_sv.krylov import CycleWorkspace, run_cycle
 from gmres_sv.solvers import (
     AugmentationSet,
@@ -154,6 +155,26 @@ class TestExtractHarmonicDirections:
         cycle = run_cycle(A, b, np.zeros(8), None, CycleWorkspace(b.size, 3))
         aug = extract_harmonic_directions(cycle, 2)
         assert aug.size == 0
+
+    def test_pairs_of_a_solve_meet_the_pencil_residual_bound(self, monkeypatch):
+        # every pair hr keeps on the bidiagonal preset's cycles passes the residual test the kernel no longer applies
+        pencils = []
+
+        def recording(R, F, k):
+            values, vectors = gen_eig_largest_magnitude(R, F, k)
+            pencils.append((R.T @ R, F, values, vectors))
+            return values, vectors
+
+        monkeypatch.setattr("gmres_sv.solvers.gen_eig_largest_magnitude", recording)
+        config = SolverConfig("hr", m=20, k=2, max_cycles=100)
+        report = solve(gen_bidiagonal(1000, 0.1), np.ones(1000), None, config)
+        assert report.converged
+        assert len(pencils) == len(report.record) - 1
+        assert sum(values.size for _, _, values, _ in pencils) == 2 * len(pencils)
+        for G, F, values, vectors in pencils:
+            for theta, g in zip(values, vectors.T):
+                bound = 1e-8 * (np.linalg.norm(G) + abs(theta) * np.linalg.norm(F))
+                assert np.linalg.norm(G @ g - theta * (F @ g)) <= bound
 
 
 @pytest.mark.parametrize("extract", [extract_singular_directions, extract_harmonic_directions])
