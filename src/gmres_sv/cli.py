@@ -301,7 +301,7 @@ def main(argv=None):
         if args.command == "identities":
             return _cmd_identities(args)
         return _cmd_presets(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Small dense factorizations and eigensolvers.
+"""Small dense factorizations and the harmonic-pencil eigensolver.
 
 Everything here operates on matrices of modest order (restart dimensions,
 typically 20-40), except the reference solvers :func:`band_qr_solve`,
@@ -9,7 +9,7 @@ A restart cycle solves its small least-squares problem with one LAPACK QR
 and :func:`back_substitute`. The same triangular factor ``R``, whose diagonal
 :func:`back_substitute` has checked, turns the harmonic pencil
 ``(R.T @ R) g = theta F g`` into the standard eigenproblem that
-:func:`gen_eig_largest_magnitude` solves.
+:func:`gen_eig_largest_magnitude` solves; ``sv`` takes one SVD of ``R``.
 """
 
 import logging
@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "SingularSystemError",
     "back_substitute",
-    "sym_eig_smallest",
     "gen_eig_largest_magnitude",
     "dense_lu_solve",
     "bandwidths",
@@ -61,26 +60,6 @@ def back_substitute(R, g):
     except np.linalg.LinAlgError as exc:
         # a zero pivot passes the test above only when a NaN makes the norm NaN
         raise SingularSystemError(str(exc)) from None
-
-
-def sym_eig_smallest(G, k):
-    """Eigenpairs of a symmetric matrix by LAPACK's symmetric eigensolver.
-
-    Returns the ``k`` algebraically smallest eigenvalues in ascending order
-    and the matching orthonormal eigenvectors as columns, their signs
-    LAPACK's, computed by ``numpy.linalg.eigh`` on the symmetric part of ``G``.
-    """
-    G = np.asarray(G, dtype=np.float64)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise ValueError(f"expected a square matrix, got {G.shape}")
-    m = G.shape[0]
-    if not 1 <= k <= m:
-        raise ValueError(f"k must lie in [1, {m}], got {k}")
-    fro = float(np.linalg.norm(G))
-    if np.linalg.norm(G - G.T) > 1e-12 * max(fro, 1e-300):
-        raise ValueError("matrix is not symmetric to working accuracy")
-    values, vectors = np.linalg.eigh(0.5 * (G + G.T))
-    return values[:k], vectors[:, :k]
 
 
 def gen_eig_largest_magnitude(R, F, k):

@@ -7,8 +7,8 @@ Three solver variants share one cycle engine:
 ``sv``
     Each restart augments an (m-k)-dimensional Krylov space with k
     approximate right singular directions of the previous cycle's projected
-    operator, taken from the small eigenvalues of the Gram matrix
-    ``G = R.T @ R`` of the cycle's triangular factor ``CycleResult.R``. Both
+    operator, taken from the SVD of the cycle's triangular factor
+    ``CycleResult.R``, whose right singular vectors are those of ``H``. Both
     augmented variants map their coefficient vectors ``g`` to directions
     ``y = W @ g`` and rebuild ``A @ y`` as ``Q @ (H @ g)`` from the
     factorization, so augmented steps cost no matrix-vector products.
@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SingularSystemError, gen_eig_largest_magnitude, sym_eig_smallest
+from .kernels import SingularSystemError, gen_eig_largest_magnitude
 from .krylov import CycleWorkspace, run_cycle
-from .sparse import spmv
+from .sparse import CsrMatrix, spmv
 
 __all__ = [
     "AugmentationSet",
@@ -53,10 +53,12 @@ logger = logging.getLogger(__name__)
 _DISCARD_SIGMA_TOL = 1e-14
 _STAGNATION_REL_IMPROVEMENT = 1e-14
 _STAGNATION_CYCLES = 10
-# Right-hand sides whose largest entry lies outside [2**-400, 2**400] are
-# scaled by a power of two first: their norms would under- or overflow.
+# Matrices and right-hand sides whose largest entry lies outside [2**-400, 2**400] are scaled by a power
+# of two first: their norms and the Arnoldi step's inner products would under- or overflow.
 _SAFE_SCALE_EXPONENT = 400
 VARIANTS = ("plain", "sv", "hr")
+# Placeholder for the deleted symmetric eigensolver, which perfbench's tracer rebinds; ROADMAP item 4 removes it.
+sym_eig_smallest = None
 
 
 @dataclass
@@ -159,21 +161,28 @@ def _carried_set(cycle, values, vectors):
 def extract_singular_directions(cycle, k):
     """Approximate right singular directions from a completed cycle.
 
-    Forms the Gram matrix ``G = R.T @ R`` of the projected operator (a
-    byproduct of the cycle's triangular factor), takes the eigenvectors for
-    the ``k`` smallest eigenvalues, and maps them back as ``Y = W @ g`` with
-    cached products ``AY = Q @ (H @ g)``. Directions whose value is
-    negligible relative to ``norm(G)`` are dropped; the caller fills any
-    deficit with extra Krylov steps. ``k < 1`` raises ``ValueError``.
+    One SVD of the cycle's factor ``R``, whose right singular vectors are
+    those of the projected operator ``H``, gives the vectors ``g`` for the
+    ``k`` smallest singular values ``s``, mapped back as ``Y = W @ g`` with
+    cached products ``AY = Q @ (H @ g)`` and ``sigma_sq = s**2`` ascending;
+    no Gram matrix squares the condition number. Directions whose ``s**2``
+    is negligible relative to ``sqrt(sum(s**4))``, the norm of ``R.T @ R``,
+    are dropped; the caller fills any deficit with extra Krylov steps.
+    ``k < 1`` raises ``ValueError``.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     p = cycle.n_cols
-    R = cycle.R[:p, :p]
-    G = R.T @ R
-    values, vectors = sym_eig_smallest(G, min(k, p))
-    keep = values > _DISCARD_SIGMA_TOL * float(np.linalg.norm(G))
+    _, s, vt = np.linalg.svd(cycle.R[:p, :p])
+    # a power of two brings the largest value near 1 exactly, so no fourth power underflows
+    scaled_sq = np.ldexp(s, -math.frexp(s[0])[1]) ** 2
+    keep = scaled_sq > _DISCARD_SIGMA_TOL * math.sqrt(float(scaled_sq @ scaled_sq))
+    # LAPACK orders s descending; take the min(k, p) smallest, ascending
+    smallest = slice(None, -min(k, p) - 1, -1)
+    s, vectors, keep = s[smallest], vt[smallest].T, keep[smallest]
     if not np.all(keep):
         logger.debug("discarding %d negligible singular directions", int(np.sum(~keep)))
-    return _carried_set(cycle, values[keep], vectors[:, keep])
+    return _carried_set(cycle, s[keep] ** 2, vectors[:, keep])
 
 
 def extract_harmonic_directions(cycle, k):
@@ -204,6 +213,12 @@ def extract_harmonic_directions(cycle, k):
     return AugmentationSet(Y=carried.Y[:, order], AY=carried.AY[:, order], sigma_sq=values[order])
 
 
+def _scale_exponent(values):
+    """The exponent that brings ``max(abs(values))`` into ``[0.5, 1)`` when it lies outside the safe range, else 0."""
+    exponent = math.frexp(np.max(np.abs(values), initial=0.0))[1]
+    return exponent if abs(exponent) > _SAFE_SCALE_EXPONENT else 0
+
+
 def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     """Run the configured restart loop until convergence or budget exhaustion.
 
@@ -217,8 +232,8 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
     config : SolverConfig
     x_ref : (n,) array, optional
         Reference solution; when given, each cycle logs the error norm
-        ``norm(x - x_ref)``, rescaled by its largest entry where the
-        squares of the entries overflow.
+        ``norm(x - x_ref)``, rescaled by its largest entry where the sum of
+        the squares of the entries under- or overflows.
     on_cycle : callable, optional
         Diagnostics hook invoked as ``on_cycle(cycle_index, cycle_result)``
         after each cycle is recorded and before the next one reuses the
@@ -238,13 +253,15 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
         unchanged; a zero ``b`` returns the zero vector.
 
     When the largest entry of ``b`` lies outside ``[2**-400, 2**400]``, the
-    loop solves for ``b * 2**-e`` and ``x0 * 2**-e``, with ``e`` the
-    exponent that brings it into ``[0.5, 1)``, and returns ``x * 2**e``
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, sec. 27).
-    The shift is exact for every entry that stays in the normal range, so
-    relative residuals are those of the given system; ``on_cycle`` then
-    sees the scaled cycle. A subnormal ``b`` works too, but an ``x`` whose
-    entries are subnormal keeps only the bits they can hold.
+    loop solves for ``b * 2**-e``, with ``e`` the exponent that brings it
+    into ``[0.5, 1)``, and likewise for ``A`` with its exponent ``a``; it
+    starts from ``x0 * 2**(a - e)`` and returns ``x * 2**(e - a)`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, sec. 27). The shifts
+    are exact for every entry that stays in the normal range, so relative
+    residuals are those of the given system; ``on_cycle`` then sees the
+    scaled cycle. A subnormal ``b`` works too, but an ``x`` whose entries
+    are subnormal keeps only the bits they can hold, and an ``x`` that
+    overflows is reported with ``final_relres=inf``, unconverged.
 
     Raises
     ------
@@ -267,12 +284,13 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
         if data is not None and not np.all(np.isfinite(data)):
             raise ValueError(f"{name} holds non-finite entries")
     record = []
-    exponent = math.frexp(np.max(np.abs(b), initial=0.0))[1]
-    if abs(exponent) <= _SAFE_SCALE_EXPONENT:
-        exponent = 0
+    a_exp, b_exp = (_scale_exponent(values) for values in (A.values, b))
     # np.ldexp shifts each entry's exponent: no scale factor that could
     # itself under- or overflow is formed
-    b = np.ldexp(b, -exponent)
+    if a_exp:
+        A = CsrMatrix(A.n_rows, A.n_cols, A.row_ptr, A.col_idx, np.ldexp(A.values, -a_exp))
+    b = np.ldexp(b, -b_exp)
+    exponent = b_exp - a_exp
     bnorm = float(np.linalg.norm(b))
 
     def err(vec, shift):
@@ -282,8 +300,8 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
         with np.errstate(over="ignore"):
             diff = np.ldexp(vec, shift) - x_ref
             norm = float(np.linalg.norm(diff))
-            if math.isinf(norm):
-                # the squares overflow; rescale by the largest entry
+            if not np.finfo(np.float64).tiny <= norm * norm < math.inf and diff.any():
+                # the sum of squares leaves the normal range; rescale by the largest entry
                 scale = float(np.max(np.abs(diff)))
                 if math.isfinite(scale):
                     norm = scale * float(np.linalg.norm(diff / scale))
@@ -358,7 +376,9 @@ def solve(A, b, x0, config, x_ref=None, on_cycle=None):
         if config.k > 0 and cycle < config.max_cycles:
             extract = extract_singular_directions if config.variant == "sv" else extract_harmonic_directions
             aug = extract(result, config.k)
-    x = np.ldexp(x, exponent) if record else start.copy()
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x, exponent) if record else start.copy()
+    final_relres = final_relres if np.isfinite(x).all() else math.inf
     return SolveReport(
         x=x,
         converged=final_relres <= config.tol,

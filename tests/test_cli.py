@@ -297,6 +297,17 @@ class TestMain:
         assert code == 1
         assert "does/not/exist.mtx" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--preset", "identity-10", "--out", "{dir}"], ["--matrix", "{dir}", "--variant", "plain", "--m", "5"]],
+        ids=["out-is-a-directory", "matrix-is-a-directory"],
+    )
+    def test_os_error_exits_one(self, tmp_path, capsys, args):
+        assert cli.main(["run"] + [arg.format(dir=tmp_path) for arg in args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+        assert "Traceback" not in captured.err
+
     def test_preset_rejects_solver_flags(self, tmp_path, capsys):
         args = ["run", "--preset", "identity-10", "--tol", "1e-3", "--m", "2", "--variant", "sv", "--k", "1"]
         assert cli.main(args) == 1

@@ -12,7 +12,6 @@ from gmres_sv.kernels import (
     bandwidths,
     dense_lu_solve,
     gen_eig_largest_magnitude,
-    sym_eig_smallest,
 )
 from gmres_sv.sparse import csr_from_coo, gen_laplacian_1d
 
@@ -41,56 +40,6 @@ class TestBackSubstitute:
         factor = np.array([[np.nan, 1.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(SingularSystemError):
             back_substitute(factor, np.ones(2))
-
-
-class TestSymEigSmallest:
-    def test_diagonal_case(self):
-        values, vectors = sym_eig_smallest(np.diag([5.0, 1.0, 3.0]), 2)
-        assert_allclose(values, [1.0, 3.0], atol=1e-13)
-        # eigenvectors are determined up to sign
-        assert abs(abs(vectors[:, 0] @ [0.0, 1.0, 0.0]) - 1.0) <= 1e-12
-        assert abs(abs(vectors[:, 1] @ [0.0, 0.0, 1.0]) - 1.0) <= 1e-12
-
-    def test_two_by_two_hand_solution(self):
-        values, vectors = sym_eig_smallest(np.array([[2.0, 1.0], [1.0, 2.0]]), 1)
-        assert_allclose(values, [1.0], atol=1e-13)
-        assert abs(abs(vectors[:, 0] @ [1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)]) - 1.0) <= 1e-12
-
-    def test_gram_matrix_matches_svd_oracle(self):
-        rng = np.random.default_rng(2)
-        H = np.triu(rng.standard_normal((21, 20)), -1)
-        R = np.linalg.qr(H, mode="r")
-        G = R.T @ R
-        values, _ = sym_eig_smallest(G, 20)
-        oracle = np.sort(np.linalg.svd(H, compute_uv=False) ** 2)
-        assert_allclose(values, oracle, rtol=1e-8, atol=1e-12 * np.linalg.norm(G))
-
-    def test_random_against_eigh_oracle(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            m = int(rng.integers(2, 16))
-            G = rng.standard_normal((m, m))
-            G = 0.5 * (G + G.T)
-            k = int(rng.integers(1, m + 1))
-            values, vectors = sym_eig_smallest(G, k)
-            oracle = np.linalg.eigvalsh(G)[:k]
-            scale = np.linalg.norm(G)
-            assert np.max(np.abs(values - oracle)) <= 1e-10 * scale
-            assert np.all(np.diff(values) >= -1e-12 * scale)
-            # unit norm, mutual orthogonality, eigen residuals
-            gram = vectors.T @ vectors
-            assert np.max(np.abs(gram - np.eye(k))) <= 1e-10
-            for i in range(k):
-                res = np.linalg.norm(G @ vectors[:, i] - values[i] * vectors[:, i])
-                assert res <= 1e-10 * scale
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            sym_eig_smallest(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError, match="k must"):
-            sym_eig_smallest(np.eye(3), 4)
 
 
 def random_factor(rng, m):
@@ -238,12 +187,11 @@ class TestWholeArrayKernelsMatchLoops:
     "call, message",
     [
         (lambda: back_substitute(np.eye(3, 2), np.ones(3)), "right-hand side length"),
-        (lambda: sym_eig_smallest(np.ones((2, 3)), 1), "expected a square matrix"),
         (lambda: gen_eig_largest_magnitude(np.eye(2), np.eye(3), 1), "equal shape"),
         (lambda: dense_lu_solve(np.ones((2, 3)), np.ones(2)), "expected a square matrix"),
         (lambda: dense_lu_solve(np.eye(3), np.ones(2)), "right-hand side length"),
     ],
-    ids=["back_substitute-rhs", "sym_eig-non-square", "pencil-shapes", "dense_lu-non-square", "dense_lu-rhs"],
+    ids=["back_substitute-rhs", "pencil-shapes", "dense_lu-non-square", "dense_lu-rhs"],
 )
 def test_misshaped_input_rejected(call, message):
     with pytest.raises(ValueError, match=message):

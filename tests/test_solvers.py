@@ -17,7 +17,7 @@ from gmres_sv.solvers import (
     extract_singular_directions,
     solve,
 )
-from gmres_sv.sparse import csr_from_coo, gen_bidiagonal, gen_laplacian_1d, identity, spmv
+from gmres_sv.sparse import CsrMatrix, csr_from_coo, gen_bidiagonal, gen_laplacian_1d, identity, spmv
 
 
 def cyclic_shift(n):
@@ -79,14 +79,19 @@ class TestExtractSingularDirections:
         assert np.linalg.norm(spmv(A, y) - y) <= 1e-10
 
     def test_full_space_matches_svd_oracle(self):
+        # a random matrix, and one graded from 1 to 1e-6, whose Gram matrix would square that spread
         rng = np.random.default_rng(1)
-        dense = rng.standard_normal((30, 30)) + 3.0 * np.eye(30)
-        A = csr_from_dense(dense)
+        random = rng.standard_normal((30, 30)) + 3.0 * np.eye(30)
         b = rng.standard_normal(30)
-        cycle = run_cycle(A, b, np.zeros(30), None, CycleWorkspace(b.size, 30))
-        aug = extract_singular_directions(cycle, 2)
-        svals = np.sort(np.linalg.svd(dense, compute_uv=False))
-        assert_allclose(aug.sigma_sq, svals[:2] ** 2, rtol=1e-6)
+        U, V = (np.linalg.qr(rng.standard_normal((30, 30)))[0] for _ in range(2))
+        graded = U @ np.diag(np.logspace(0, -6, 30)) @ V.T
+        for dense in (random, graded):
+            cycle = run_cycle(csr_from_dense(dense), b, np.zeros(30), None, CycleWorkspace(b.size, 30))
+            aug = extract_singular_directions(cycle, 2)
+            _, svals, vt = np.linalg.svd(dense)
+            assert_allclose(aug.sigma_sq, np.sort(svals)[:2] ** 2, rtol=1e-9)
+            # the smallest direction is the last right singular vector, up to sign
+            assert abs(abs(aug.Y[:, 0] @ vt[-1]) - 1.0) <= 1e-10
 
     def test_cached_products_consistent_with_spmv(self):
         rng = np.random.default_rng(2)
@@ -394,6 +399,40 @@ class TestSolveScaling:
         assert errors[0] <= np.linalg.norm(x_ref / 1e200) * 1e200
         assert errors[-1] == pytest.approx(np.linalg.norm((report.x - x_ref) / 1e190) * 1e190, rel=1e-12)
         assert report.final_error_norm == errors[-1]
+
+    @pytest.mark.parametrize("shift", [-600, -531, 531, 900])
+    @pytest.mark.parametrize("variant, k", [("plain", 0), ("sv", 4), ("hr", 4)])
+    def test_extreme_matrix_solves_like_unit_matrix(self, variant, k, shift):
+        # the Arnoldi step's inner products under- or overflow unless solve
+        # scales A by a power of two; the shift is exact, so the histories match
+        A = gen_laplacian_1d(200)
+        scaled = CsrMatrix(200, 200, A.row_ptr, A.col_idx, np.ldexp(A.values, shift))
+        config = SolverConfig(variant, 20, k, max_cycles=30)
+        unit = solve(A, np.ones(200), None, config)
+        report = solve(scaled, np.ones(200), None, config)
+        assert [e.relres for e in report.record] == [e.relres for e in unit.record]
+        assert report.final_relres == unit.final_relres
+        assert np.array_equal(report.x, np.ldexp(unit.x, -shift))
+
+    @pytest.mark.parametrize("a_shift, b_shift", [(-600, 600), (0, 1015)])
+    def test_overflowing_solution_is_not_converged(self, a_shift, b_shift):
+        # the scaled system converges, but x = 2**(b_shift - a_shift) * x_scaled overflows
+        A = gen_laplacian_1d(200)
+        scaled = CsrMatrix(200, 200, A.row_ptr, A.col_idx, np.ldexp(A.values, a_shift))
+        report = solve(scaled, np.ldexp(np.ones(200), b_shift), None, SolverConfig("sv", 20, 4))
+        assert report.record[-1].relres <= 1e-8
+        assert not report.converged and report.final_relres == np.inf
+
+    def test_error_norm_survives_underflowing_squares(self):
+        # the error entries are about 1e-175, so their squares underflow to zero
+        A = gen_laplacian_1d(200)
+        x_exact = np.linalg.solve(A.to_dense(), np.ones(200))
+        config = SolverConfig("sv", 20, 4)
+        unit = solve(A, np.ones(200), None, config, x_ref=x_exact)
+        report = solve(A, np.ldexp(np.ones(200), -560), None, config, x_ref=np.ldexp(x_exact, -560))
+        assert report.final_error_norm == pytest.approx(np.ldexp(unit.final_error_norm, -560), rel=1e-12)
+        errors = [np.ldexp(e.error_norm, 560) for e in report.record]
+        assert_allclose(errors, [e.error_norm for e in unit.record], rtol=1e-12)
 
     def test_unit_rhs_runs_unscaled(self):
         A = gen_laplacian_1d(30)
